@@ -362,6 +362,18 @@ class AlgebraData:
             out = self.mul(out, el)
         return out
 
+    def form_on_product(self, form, i, j):
+        """form(e_i e_j) = sum_k c_ijk form(e_k), read from the table cell."""
+        acc = Scalar.zero(self.n)
+        cell = self.table.get((i, j))
+        if cell:
+            coeffs = form.coeffs
+            for k, c in cell.items():
+                fv = coeffs.get((k,))
+                if fv is not None:
+                    acc = acc + c * fv
+        return acc
+
     def left_mult_matrix(self, x):
         """Matrix of a |-> x*a in the fixed basis (x an element)."""
         m = SparseMatrix(self.n, self.dim, self.dim)

@@ -23,7 +23,7 @@ import sys
 
 from quasihopf import intcoint, modtrace, qhspec, sympferm
 from quasihopf.exactmath import format_scalar, parse_scalar
-from quasihopf.qha import MissingPivotalData, check_axioms
+from quasihopf.qha import AxiomViolation, MissingPivotalData, check_axioms
 from quasihopf.repcat import regular_module, trivial_module
 from quasihopf.report import Check
 
@@ -238,7 +238,7 @@ def main(argv=None):
     except (qhspec.SpecSyntaxError, qhspec.SpecSemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (MissingPivotalData, intcoint.DimensionZero,
+    except (AxiomViolation, MissingPivotalData, intcoint.DimensionZero,
             intcoint.WrongSolutionDim, intcoint.InconsistentModulus,
             modtrace.NotUnimodular, modtrace.NotSymmetrisedCointegral,
             sympferm.BadBeta, sympferm.MaxNExceeded) as exc:

@@ -110,11 +110,17 @@ class Scalar:
 
     @classmethod
     def zero(cls, n):
-        return _ZERO_CACHE.setdefault(n, cls(n, (0,) * field_degree(n)))
+        z = _ZERO_CACHE.get(n)
+        if z is None:
+            z = _ZERO_CACHE[n] = cls(n, (0,) * field_degree(n))
+        return z
 
     @classmethod
     def one(cls, n):
-        return _ONE_CACHE.setdefault(n, cls.from_int(n, 1))
+        o = _ONE_CACHE.get(n)
+        if o is None:
+            o = _ONE_CACHE[n] = cls.from_int(n, 1)
+        return o
 
     @classmethod
     def from_int(cls, n, value):

@@ -5,7 +5,10 @@ space is found as the exact nullspace of the stacked operators
 (l_h - eps(h) id) over all basis h, assembled as one sparse system and
 eliminated in one pass.  The modulus gamma is read off from L h = gamma(h) L
 and verified to be an algebra morphism; gamma = eps characterises the
-unimodular case.
+unimodular case.  gamma depends only on the algebra and the counit, so it
+is computed once per algebra and cached on it; the coopposite algebra has
+the same algebra and counit, and the cointegral solver reuses H's modulus
+for H^cop.
 
 A left cointegral is a form lam with
 
@@ -113,11 +116,20 @@ def integrals(H, side="left"):
 
 
 def modulus(H, left_integral=None):
-    """gamma with L h = gamma(h) L, verified multiplicative."""
+    """gamma with L h = gamma(h) L, verified multiplicative.
+
+    Without an explicit integral the result is computed once and cached on
+    H; a given integral is always verified afresh.
+    """
+    if left_integral is not None:
+        return _modulus_from(H, left_integral)
+    if H._modulus is None:
+        H._modulus = _modulus_from(H, integrals(H, "left").basis[0])
+    return H._modulus
+
+
+def _modulus_from(H, L):
     A = H.alg
-    if left_integral is None:
-        left_integral = integrals(H, "left").basis[0]
-    L = left_integral
     ref_key, ref_val = min(L.coeffs.items())
     coeffs = {}
     for h in range(H.dim):
@@ -132,10 +144,10 @@ def modulus(H, left_integral=None):
     form = LinearForm(H.n, 1, coeffs)
     if not form.evaluate(A.unit).is_one():
         raise InconsistentModulus("gamma(1) != 1")
+    values = [form.coeffs.get((i,), Scalar.zero(H.n)) for i in range(H.dim)]
     for i in range(H.dim):
         for j in range(H.dim):
-            lhs = form.evaluate(A.mul(A.basis(i), A.basis(j)))
-            if lhs != form.evaluate(A.basis(i)) * form.evaluate(A.basis(j)):
+            if A.form_on_product(form, i, j) != values[i] * values[j]:
                 raise InconsistentModulus(
                     f"gamma not multiplicative at ({A.labels[i]}, {A.labels[j]})")
     return Modulus(form)
@@ -178,7 +190,7 @@ def cointegrals(H, side="right", pin=None):
     """
     H.require_pivotal()
     Hq = H.coopposite() if side == "right" else H
-    gamma = modulus(Hq)
+    gamma = modulus(H)  # H^cop has H's algebra and counit, hence H's modulus
     red = RowReducer(H.n, H.dim)
     for row in _left_cointegral_rows(Hq, gamma):
         red.add_row(row)
@@ -239,8 +251,7 @@ def check_symmetrised(H, sym, gamma, side):
         def rhs_of(h):
             acc = TensorElement(H.n, 1)
             for (p1, p2, p3), c in phi.coeffs.items():
-                w = gamma.of(A.basis(p1)) * c * sym.evaluate(
-                    A.mul(A.basis(p2), A.basis(h)))
+                w = gamma.of(A.basis(p1)) * c * A.form_on_product(sym, p2, h)
                 if w:
                     acc = acc + A.mul(p.pivot_inv, H.S(A.basis(p3))).scale(w)
             return acc
@@ -253,8 +264,7 @@ def check_symmetrised(H, sym, gamma, side):
         def rhs_of(h):
             acc = TensorElement(H.n, 1)
             for (p1, p2, p3), c in psi.coeffs.items():
-                w = gamma.of(A.basis(p3)) * c * sym.evaluate(
-                    A.mul(A.basis(p2), A.basis(h)))
+                w = gamma.of(A.basis(p3)) * c * A.form_on_product(sym, p2, h)
                 if w:
                     acc = acc + A.mul(p.pivot, H.S_inv(A.basis(p1))).scale(w)
             return acc
@@ -276,18 +286,8 @@ def gram_matrix_rank(H, form):
     A = H.alg
     red = RowReducer(H.n, H.dim)
     for i in range(H.dim):
-        row = {}
-        for j in range(H.dim):
-            cell = A.table.get((i, j))
-            if not cell:
-                continue
-            acc = Scalar.zero(H.n)
-            for k, c in cell.items():
-                fv = form.coeffs.get((k,))
-                if fv is not None:
-                    acc = acc + c * fv
-            if acc:
-                row[j] = acc
+        row = {j: v for j in range(H.dim)
+               if (v := A.form_on_product(form, i, j))}
         if row:
             red.add_row(row)
     return red.rank
@@ -304,9 +304,7 @@ def check_form_properties(H, form, gamma):
     sym_defect = None
     for i in range(H.dim):
         for j in range(i + 1, H.dim):
-            ab = form.evaluate(A.mul(A.basis(i), A.basis(j)))
-            ba = form.evaluate(A.mul(A.basis(j), A.basis(i)))
-            if ab != ba:
+            if A.form_on_product(form, i, j) != A.form_on_product(form, j, i):
                 sym_defect = f"({A.labels[i]}, {A.labels[j]})"
                 break
         if sym_defect:
@@ -329,7 +327,7 @@ def check_twisted_symmetry(H, sym, gamma, side):
             b = A.basis(j)
             shifted = H.hit_elem_right(gamma.form, b) if side == "left" \
                 else H.hit_elem_left(b, gamma.form)
-            lhs = sym.evaluate(A.mul(A.basis(i), b))
+            lhs = A.form_on_product(sym, i, j)
             rhs = sym.evaluate(A.mul(shifted, A.basis(i)))
             if lhs != rhs:
                 first_bad = f"({A.labels[i]}, {A.labels[j]})"

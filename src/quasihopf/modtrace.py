@@ -23,7 +23,7 @@ condition as being a symmetrised cointegral.  This module provides:
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
@@ -103,9 +103,8 @@ def from_symmetrised_cointegral(H, lam_hat, side="right"):
             f"form is not a symmetrised {side} cointegral")
     for i in range(H.dim):
         for j in range(i + 1, H.dim):
-            ij = lam_hat.evaluate(A.mul(A.basis(i), A.basis(j)))
-            ji = lam_hat.evaluate(A.mul(A.basis(j), A.basis(i)))
-            if ij != ji:
+            if A.form_on_product(lam_hat, i, j) != \
+                    A.form_on_product(lam_hat, j, i):
                 raise NotSymmetrisedCointegral(
                     f"form is not symmetric at ({A.labels[i]}, {A.labels[j]})")
     final = "two-sided" if sides_ok["left"] and sides_ok["right"] else side
@@ -119,8 +118,12 @@ class ProjectivePresentation:
     module: object
     maps_in: list
     maps_out: list
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def validate(self):
+        """Check sum a_i . b_i = id_P; a passed check is remembered."""
+        if self._valid:
+            return self
         total = None
         for a, b in zip(self.maps_in, self.maps_out):
             ab = a @ b
@@ -128,6 +131,7 @@ class ProjectivePresentation:
         if total is None or total.matrix != SparseMatrix.identity(
                 self.module.H.n, self.module.dim):
             raise BadPresentation("the maps do not compose to the identity")
+        self._valid = True
         return self
 
 

@@ -68,6 +68,7 @@ class QuasiHopfAlgebra:
         self.beta = beta
         self.pivotal = pivotal
         self._canonical = None
+        self._modulus = None                     # set by intcoint.modulus
 
     # -- conveniences -------------------------------------------------------
 

@@ -220,3 +220,15 @@ def test_solve_unique_inconsistent():
     ])
     with pytest.raises(ValueError, match="inconsistent"):
         solve_unique(m, {0: Scalar.one(n), 1: Scalar.from_int(n, 2)})
+
+
+def test_warm_scalar_constants_construct_nothing(monkeypatch):
+    zero, one = Scalar.zero(8), Scalar.one(8)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a Scalar was constructed")
+
+    monkeypatch.setattr(Scalar, "__init__", boom)
+    monkeypatch.setattr(Scalar, "from_int", classmethod(boom))
+    assert Scalar.zero(8) is zero
+    assert Scalar.one(8) is one

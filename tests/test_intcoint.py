@@ -1,8 +1,9 @@
 import pytest
 
-from quasihopf import intcoint
+from quasihopf import intcoint, qhspec
 from quasihopf.algcore import LinearForm
 from quasihopf.exactmath import Scalar
+from quasihopf.modtrace import from_symmetrised_cointegral
 from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra
 
 from .helpers import (
@@ -200,3 +201,46 @@ def test_nakayama_relations():
     lq = intcoint.cointegrals(fx.H, "left")
     assert intcoint.check_nakayama(fx.H, co.form, gq, "right").passed
     assert intcoint.check_nakayama(fx.H, lq.form, gq, "left").passed
+
+
+def test_modulus_is_computed_once_per_algebra(monkeypatch):
+    text = qhspec.serialize(qhspec.from_algebra(q_fixture(1, 7).H))
+    solves = []
+    solve = intcoint.integrals
+
+    def counting(H, side="left"):
+        solves.append(side)
+        return solve(H, side)
+
+    monkeypatch.setattr(intcoint, "integrals", counting)
+    H = qhspec.to_algebra(qhspec.parse(text))
+    co = intcoint.cointegrals(H, "right")
+    sym = intcoint.symmetrise(H, co)
+    tr = from_symmetrised_cointegral(H, sym, "right")
+    assert tr.side == "two-sided"
+    assert solves == ["left"]
+
+    fresh = qhspec.to_algebra(qhspec.parse(text))
+    assert intcoint.modulus(fresh).form == intcoint.modulus(H).form
+    assert solves == ["left", "left"]
+
+
+@pytest.mark.parametrize("make", (sweedler, lambda: q_fixture(1, 7).H),
+                         ids=("sweedler", "q1"))
+def test_coopposite_has_the_same_modulus(make):
+    H = make()
+    assert intcoint.modulus(H.coopposite()).form == intcoint.modulus(H).form
+
+
+@pytest.mark.parametrize("make", (sweedler, lambda: q_fixture(1, 7).H),
+                         ids=("sweedler", "q1"))
+def test_form_on_product_matches_multiplication(make):
+    H = make()
+    A = H.alg
+    forms = [intcoint.modulus(H).form, H.counit,
+             intcoint.cointegrals(H, "right").form]
+    for form in forms:
+        for i in range(H.dim):
+            for j in range(H.dim):
+                assert A.form_on_product(form, i, j) == \
+                    form.evaluate(A.mul(A.basis(i), A.basis(j)))

@@ -320,3 +320,22 @@ def test_semisimple_blockwise_proportionality():
         lifted = ModuleMap(tensor(tri, reg), tensor(tri, reg), r_x.matrix)
         cat = partial_trace(lifted, "right").matrix.get(0, 0)
         assert evaluate(tr, pres, r_x) == quarter * cat
+
+
+def test_presentation_is_validated_once(monkeypatch):
+    fx = q_fixture(1, 7)
+    tr = _trace_for(fx)
+    pres = trivial_presentation(fx.H)
+    ident = pres.maps_in[0]
+    compositions = []
+    compose = ModuleMap.__matmul__
+
+    def counting(self, other):
+        compositions.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(ModuleMap, "__matmul__", counting)
+    first = evaluate(tr, pres, ident)
+    assert len(compositions) == 1
+    assert evaluate(tr, pres, ident) == first
+    assert len(compositions) == 1

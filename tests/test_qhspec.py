@@ -220,3 +220,17 @@ def test_cli_integrals_on_non_unimodular_fixture():
                          "--side", "left"])
     assert code == 0
     assert "symmetrised" in out
+
+
+def test_cli_axiom_violation_exit_code(tmp_path):
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "specs"
+    text = (root / "z2.qhs").read_text()
+    assert "\nalpha 0 1\n" in text
+    bad = tmp_path / "bad_alpha.qhs"
+    bad.write_text(text.replace("\nalpha 0 1\n", "\nalpha 0 2\n"))
+    code, _, err = _run(["cointegrals", str(bad)])
+    assert code == 3
+    assert "AxiomViolation" in err
+    assert "Traceback" not in err
