@@ -12,13 +12,15 @@ Subcommands:
                                          [--emit-spec PATH]
     verify <spec> --suite ...            reduction / pairing property suites
 
-Exit codes: 0 success; 2 parse error; 3 axiom or precondition failure;
-4 verification failure.  All sampling is controlled by --seed/--budget,
-and reports are byte-identical across runs with equal inputs and seeds.
+Exit codes: 0 success; 1 output closed early; 2 parse error; 3 axiom or
+precondition failure; 4 verification failure.  All sampling is controlled
+by --seed/--budget, and reports are byte-identical across runs with equal
+inputs and seeds.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from quasihopf import intcoint, modtrace, qhspec, sympferm
@@ -28,6 +30,7 @@ from quasihopf.repcat import regular_module, trivial_module
 from quasihopf.report import Check
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_PARSE = 2
 EXIT_AXIOM = 3
 EXIT_VERIFY = 4
@@ -234,7 +237,16 @@ def main(argv=None):
     if getattr(args, "budget", None) is None and args.command == "verify":
         args.budget = 200
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the interpreter's final flush cannot raise again, as the Python
+        # docs' note on SIGPIPE recommends.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED
     except (qhspec.SpecSyntaxError, qhspec.SpecSemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

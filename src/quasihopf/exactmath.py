@@ -6,6 +6,14 @@ polynomial.  Internally the coordinates are arbitrary-precision integers over
 one common denominator (gcd-reduced after every operation), which keeps the
 hot multiply/add paths fast; ``Scalar.coords`` exposes them as Fractions.
 
+Nearly every product the package forms has a rational operand (the tables of
+Q(N, beta) hold only +-1 and +-1/2), so ``*`` checks for one first: a factor
+in Q scales the other operand's coordinates and multiplies the denominators,
+1 returns the other operand itself and -1 negates it.  Only a product of two
+genuinely cyclotomic values runs the convolution and the reduction mod Phi_n.
+Arithmetic results are built by the module-private ``_canonical``, which
+only gcd-reduces; the public constructor keeps its full validation.
+
 There is no floating point and no tolerance anywhere in this module: equality
 of scalars is equality of canonical coordinate vectors, and the linear algebra
 (:func:`rank`, :func:`nullspace`, :class:`RowReducer`) is exact Gaussian
@@ -97,8 +105,6 @@ class Scalar:
         if g > 1:
             num = tuple(a // g for a in num)
             den //= g
-        if den != 1 and not any(num):
-            den = 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -190,31 +196,35 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar and other.n == self.n \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return Scalar(self.n, [a + b for a, b in zip(self.num, o.num)], self.den)
+            return _canonical(self.n, [a + b for a, b in zip(self.num, o.num)],
+                              self.den)
         g = gcd(self.den, o.den)
         ma, mb = o.den // g, self.den // g
-        return Scalar(self.n, [a * ma + b * mb for a, b in zip(self.num, o.num)],
-                      self.den // g * o.den)
+        return _canonical(self.n, [a * ma + b * mb for a, b in zip(self.num, o.num)],
+                          self.den // g * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.n, [-a for a in self.num], self.den)
+        return _canonical(self.n, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar and other.n == self.n \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return Scalar(self.n, [a - b for a, b in zip(self.num, o.num)], self.den)
+            return _canonical(self.n, [a - b for a, b in zip(self.num, o.num)],
+                              self.den)
         g = gcd(self.den, o.den)
         ma, mb = o.den // g, self.den // g
-        return Scalar(self.n, [a * ma - b * mb for a, b in zip(self.num, o.num)],
-                      self.den // g * o.den)
+        return _canonical(self.n, [a * ma - b * mb for a, b in zip(self.num, o.num)],
+                          self.den // g * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -223,13 +233,17 @@ class Scalar:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Scalar and other.n == self.n \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        d, red = _field_data(self.n)
         a, b = self.num, o.num
-        if d == 1:
-            return Scalar(self.n, (a[0] * b[0],), self.den * o.den)
+        # Rational fast path: nearly every product has an operand in Q.
+        if not any(a[1:]):
+            return _rational_times(a[0], self.den, o)
+        if not any(b[1:]):
+            return _rational_times(b[0], o.den, self)
+        d, red = _field_data(self.n)
         conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -244,7 +258,7 @@ class Scalar:
                 for j, rj in enumerate(row):
                     if rj:
                         out[j] += ck * rj
-        return Scalar(self.n, out, self.den * o.den)
+        return _canonical(self.n, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -319,6 +333,44 @@ class Scalar:
 
 _ZERO_CACHE = {}
 _ONE_CACHE = {}
+
+_new_scalar = object.__new__
+_set_n = Scalar.n.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _canonical(n, num, den):
+    """Trusted constructor for arithmetic results.
+
+    The caller guarantees len(num) == field_degree(n) and den > 0, so only
+    the gcd reduction of Scalar.__init__ is left; the slots are written
+    through their descriptors, past the immutability guard.
+    """
+    if den != 1:
+        g = den
+        for a in num:
+            g = gcd(g, a)
+            if g == 1:
+                break
+        if g > 1:
+            num = [a // g for a in num]
+            den //= g
+    s = _new_scalar(Scalar)
+    _set_n(s, n)
+    _set_num(s, tuple(num))
+    _set_den(s, den)
+    return s
+
+
+def _rational_times(c, cden, x):
+    """(c / cden) * x for canonical c / cden in Q: scale x's coordinates."""
+    if cden == 1:
+        if c == 1:
+            return x  # immutable, so sharing is safe
+        if c == -1:
+            return _canonical(x.n, [-a for a in x.num], x.den)
+    return _canonical(x.n, [c * a for a in x.num], cden * x.den)
 
 
 def _zeta_order(n):

@@ -22,6 +22,8 @@ quasihopf.exactmath for the scalar syntax, e.g. ``-1/2+z8^3``).  Lines:
     twist-inv <a> <b> <scalar>
     element <name> <i> <scalar>      optional named elements
 
+Every line after ``basis`` adds its scalar to the coordinate it names, so
+a repeated line accumulates: ``mul 0 1 1 1/2`` twice is ``mul 0 1 1 1``.
 ``#`` starts a comment; blank lines are skipped.  serialize(parse(text))
 reproduces canonical documents byte for byte.
 """
@@ -102,7 +104,7 @@ def parse(text):
             name, idx_s, scalar_s = args
             idx = _parse_index(idx_s, line_no)
             val = _parse_scalar_token(scalar_s, doc, line_no)
-            doc.elements.setdefault(name, {})[idx] = val
+            _accumulate(doc.elements.setdefault(name, {}), idx, val)
         elif key in _INDEXED:
             attr, n_idx = _INDEXED[key]
             if len(args) != n_idx + 1:
@@ -110,8 +112,7 @@ def parse(text):
                     line_no, f"{key} needs {n_idx} indices and one scalar")
             idx = tuple(_parse_index(a, line_no) for a in args[:-1])
             val = _parse_scalar_token(args[-1], doc, line_no)
-            store = getattr(doc, attr)
-            store[idx[0] if n_idx == 1 else idx] = val
+            _accumulate(getattr(doc, attr), idx[0] if n_idx == 1 else idx, val)
         else:
             raise SpecSyntaxError(line_no, f"unknown keyword {key!r}")
     if doc.conductor is None:
@@ -120,6 +121,11 @@ def parse(text):
         raise SpecSemanticError("missing 'basis' line")
     _check_indices(doc)
     return doc
+
+
+def _accumulate(store, key, val):
+    cur = store.get(key)
+    store[key] = val if cur is None else cur + val
 
 
 def _parse_index(token, line_no):
@@ -157,7 +163,8 @@ def to_algebra(doc):
     """Build and structurally validate the quasi-Hopf algebra of a document.
 
     Raises SpecSemanticError for missing blocks, a non-invertible
-    coassociator or twist, or an antipode whose stated inverse is not one.
+    coassociator, twist or pivot, or an antipode whose stated inverse is
+    not one.
     Full axiom verification is the job of qha.check_axioms.
     """
     n = doc.conductor
@@ -217,7 +224,10 @@ def to_algebra(doc):
     if pivotal is not None:
         pivot, pivot_inv, twist, twist_inv = pivotal
         if pivot_inv is None:
-            pivot_inv = H.invert_element(pivot)
+            try:
+                pivot_inv = H.invert_element(pivot)
+            except ValueError:
+                raise SpecSemanticError("pivot is not invertible") from None
         elif alg.mul(pivot, pivot_inv) != alg.unit:
             raise SpecSemanticError("pivot-inv is not the inverse of pivot")
         H.pivotal = PivotalData(pivot, pivot_inv, twist, twist_inv)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,3 +233,88 @@ def test_warm_scalar_constants_construct_nothing(monkeypatch):
     monkeypatch.setattr(Scalar, "from_int", classmethod(boom))
     assert Scalar.zero(8) is zero
     assert Scalar.one(8) is one
+
+
+# -- the scalar kernel against an independent reference ----------------------
+#
+# The reference does Fraction-coordinate polynomial arithmetic and reduces
+# mod Phi_n by long division, sharing no code path with Scalar's integer
+# numerators, rational fast path or precomputed reduction rows.
+
+
+def _ref_reduce(poly, n):
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, d - len(poly))
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        if c:
+            for j, pj in enumerate(phi):
+                poly[k - d + j] -= c * pj
+    return tuple(poly[:d])
+
+
+def _ref_mul(a, b, n):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return _ref_reduce(conv, n)
+
+
+def _assert_canonical(s, n):
+    assert type(s) is Scalar and s.n == n
+    assert len(s.num) == field_degree(n) and type(s.num) is tuple
+    assert all(type(a) is int for a in s.num) and type(s.den) is int
+    assert s.den > 0
+    assert gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert s.den == 1
+    for attr, value in (("n", 8), ("num", s.num), ("den", 1), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(s, attr, value)
+
+
+def kernel_scalars(n):
+    d = field_degree(n)
+    special = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 2)])
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    cyclotomic = st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        min_size=d, max_size=d).map(lambda cs: Scalar.from_coords(n, cs))
+    return st.one_of(special.map(lambda c: Scalar.from_fraction(n, c)),
+                     rational.map(lambda c: Scalar.from_fraction(n, c)),
+                     cyclotomic)
+
+
+scalar_pairs = st.sampled_from([1, 4, 8]).flatmap(
+    lambda n: st.tuples(st.just(n), kernel_scalars(n), kernel_scalars(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs)
+def test_kernel_matches_polynomial_reference(case):
+    n, a, b = case
+    ca, cb = a.coords, b.coords
+    want_mul = _ref_mul(ca, cb, n)
+    for got, want in (
+            (a * b, want_mul),
+            (b * a, want_mul),
+            (a + b, tuple(x + y for x, y in zip(ca, cb))),
+            (a - b, tuple(x - y for x, y in zip(ca, cb))),
+            (-a, tuple(-x for x in ca))):
+        _assert_canonical(got, n)
+        assert got.coords == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 4, 8]).flatmap(
+    lambda n: st.tuples(st.just(n), kernel_scalars(n))))
+def test_multiplying_by_one_and_minus_one(case):
+    n, x = case
+    one = Scalar.one(n)
+    assert x * one == x and one * x == x
+    minus = Scalar.from_int(n, -1)
+    for got in (x * minus, minus * x):
+        _assert_canonical(got, n)
+        assert got == -x

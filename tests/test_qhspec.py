@@ -234,3 +234,65 @@ def test_cli_axiom_violation_exit_code(tmp_path):
     assert code == 3
     assert "AxiomViolation" in err
     assert "Traceback" not in err
+
+
+def _shipped(name):
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "specs"
+    return (root / name).read_text()
+
+
+def test_cli_singular_pivot_is_a_spec_error(tmp_path):
+    text = _shipped("z2.qhs")
+    assert "\npivot-inv 0 1\n" in text
+    text = text.replace("\npivot-inv 0 1\n", "\n")
+    text = text.replace("\npivot 0 1\n", "\npivot 0 1\npivot 1 1\n")  # 1 + g
+    bad = tmp_path / "singular_pivot.qhs"
+    bad.write_text(text)
+    code, _, err = _run(["check", str(bad)])
+    assert code == 2
+    assert "pivot is not invertible" in err
+    assert "Traceback" not in err
+
+
+def test_repeated_lines_accumulate():
+    text = _shipped("z2.qhs")
+    assert "\nmul 1 1 0 1\n" in text
+    split = text.replace("\nmul 1 1 0 1\n", "\nmul 1 1 0 1/2\nmul 1 1 0 1/2\n")
+    want = qhspec.to_algebra(qhspec.parse(text))
+    got = qhspec.to_algebra(qhspec.parse(split))
+    assert got.alg == want.alg
+    assert qhspec.serialize(qhspec.parse(split)) == \
+        qhspec.serialize(qhspec.parse(text))
+
+
+@pytest.mark.parametrize("name", ["z2.qhs", "z4.qhs", "sweedler.qhs"])
+def test_shipped_documents_roundtrip(name):
+    text = _shipped(name)
+    data = "".join(l + "\n" for l in text.splitlines()
+                   if not l.startswith("#"))
+    assert qhspec.serialize(qhspec.parse(text)) == data
+
+
+def test_cli_closed_stdout_exits_1():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasihopf.cli", "check",
+             str(root / "specs" / "z2.qhs")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
