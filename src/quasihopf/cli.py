@@ -25,7 +25,7 @@ import sys
 
 from quasihopf import intcoint, modtrace, qhspec, sympferm
 from quasihopf.exactmath import format_scalar, parse_scalar
-from quasihopf.qha import AxiomViolation, MissingPivotalData, check_axioms
+from quasihopf.qha import QuasiHopfError, check_axioms
 from quasihopf.repcat import regular_module, trivial_module
 from quasihopf.report import Check
 
@@ -250,15 +250,9 @@ def main(argv=None):
     except (qhspec.SpecSyntaxError, qhspec.SpecSemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (AxiomViolation, MissingPivotalData, intcoint.DimensionZero,
-            intcoint.WrongSolutionDim, intcoint.InconsistentModulus,
-            modtrace.NotUnimodular, modtrace.NotSymmetrisedCointegral,
-            sympferm.BadBeta, sympferm.MaxNExceeded) as exc:
+    except QuasiHopfError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except intcoint.VerificationFailed as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return exc.exit_code
 
 
 if __name__ == "__main__":

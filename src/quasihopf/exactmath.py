@@ -112,6 +112,11 @@ class Scalar:
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the guarded
+        # slot writes
+        return (Scalar, (self.n, self.num, self.den))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -39,24 +39,24 @@ from dataclasses import dataclass
 
 from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar
-from quasihopf.qha import derive_UVu
+from quasihopf.qha import QuasiHopfError, derive_UVu
 from quasihopf.report import Check
 
 
-class DimensionZero(ValueError):
+class DimensionZero(QuasiHopfError):
     pass
 
 
-class WrongSolutionDim(ValueError):
+class WrongSolutionDim(QuasiHopfError):
     pass
 
 
-class InconsistentModulus(ValueError):
+class InconsistentModulus(QuasiHopfError):
     pass
 
 
-class VerificationFailed(ValueError):
-    pass
+class VerificationFailed(QuasiHopfError):
+    exit_code = 4
 
 
 @dataclass

@@ -37,11 +37,21 @@ from quasihopf.exactmath import Scalar, solve_unique
 from quasihopf.report import Check
 
 
-class AxiomViolation(ValueError):
+class QuasiHopfError(ValueError):
+    """A failed axiom, precondition or verification of the engine.
+
+    exit_code is the command line's exit status for it: 3 for an axiom or
+    precondition failure, 4 for a verification failure.
+    """
+
+    exit_code = 3
+
+
+class AxiomViolation(QuasiHopfError):
     pass
 
 
-class MissingPivotalData(ValueError):
+class MissingPivotalData(QuasiHopfError):
     pass
 
 

@@ -9,8 +9,14 @@ traces are built literally as the composites
     tr_r(f): A -> A.1 -> A(C Cd) -> (A C)Cd -> (B C)Cd -> B(C Cd) -> B.1 -> B
     tr_l(g): A -> 1.A -> (Cd C)A -> Cd(C A) -> Cd(C B) -> (Cd C)B -> 1.B -> B
 
-with every coherence map realized explicitly (unit constraints are identity
-on underlying coordinates; associators are coassociator matrices).
+with every coherence map realized explicitly.  Unit constraints are the
+identity on underlying coordinates.  The coassociator (resp. its inverse)
+acts leg by leg on the dim(A) coevaluation columns and on the dim(B)
+evaluation rows the composite uses, and f acts on one Cd coordinate at a
+time; neither the associator matrices nor the map tensored with the
+identity of Cd is formed.  The duality data and the two coherence legs are
+cached on C, keyed by the partner module, so a second partial trace over
+the same modules pays only for f.
 
 Module maps are sparse matrices tagged with source and target; every
 constructor here yields maps that pass the intertwiner check, and Hom-spaces
@@ -37,6 +43,9 @@ class Representation:
         self.dim = dim
         self._matrices = {}
         self._columns = {}
+        self._rows = {}
+        self._duality = None
+        self._trace_legs = {}
 
     def matrix(self, i):
         m = self._matrices.get(i)
@@ -53,6 +62,21 @@ class Representation:
             col = self.matrix(i).apply({j: Scalar.one(self.H.n)})
             self._columns[key] = col
         return col
+
+    def row(self, i, r):
+        """Row r of rho(e_i) as a sparse dict."""
+        rows = self._rows.get(i)
+        if rows is None:
+            rows = self._rows[i] = {}
+            for (r2, c), v in self.matrix(i).entries.items():
+                rows.setdefault(r2, {})[c] = v
+        return rows.get(r, {})
+
+    def duality(self):
+        """The DualityData of this module, built once."""
+        if self._duality is None:
+            self._duality = DualityData(self)
+        return self._duality
 
     def act_basis(self, i, vec):
         return self.matrix(i).apply(vec)
@@ -377,34 +401,117 @@ def partial_trace(f, side="right"):
         B = f.target.left
         if f.target.right is not C:
             raise ShapeMismatch("right leg must be shared between source and target")
-        d = DualityData(C)
-        if d.ev_right is None:
+        if C.duality().ev_right is None:
             raise MissingPivotalData("right partial trace needs pivotal data")
-        idA = ModuleMap.identity(A)
-        idB = ModuleMap.identity(B)
-        id_dual = ModuleMap.identity(d.dual)
-        pre = associator(A, C, d.dual) @ _tensor_map(idA, d.coev_left) \
-            @ unit_intro_right(A)
-        post = unit_elim_right(B) @ _tensor_map(idB, d.ev_right) \
-            @ associator_inv(B, C, d.dual)
-        return post @ _tensor_map(f, id_dual) @ pre
-    if side == "left":
+    elif side == "left":
         C, A = f.source.left, f.source.right
         B = f.target.right
         if f.target.left is not C:
             raise ShapeMismatch("left leg must be shared between source and target")
-        d = DualityData(C)
-        if d.coev_right is None:
+        if C.duality().coev_right is None:
             raise MissingPivotalData("left partial trace needs pivotal data")
-        idA = ModuleMap.identity(A)
-        idB = ModuleMap.identity(B)
-        id_dual = ModuleMap.identity(d.dual)
-        pre = associator_inv(d.dual, C, A) @ _tensor_map(d.coev_right, idA) \
-            @ unit_intro_left(A)
-        post = unit_elim_left(B) @ _tensor_map(d.ev_left, idB) \
-            @ associator(d.dual, C, B)
-        return post @ _tensor_map(id_dual, f) @ pre
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    else:
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    columns = _trace_leg(C, side, A, incoming=True)
+    rows = _trace_leg(C, side, B, incoming=False)
+    m = SparseMatrix(f.source.H.n, B.dim, A.dim)
+    for j, slices in columns.items():
+        acc = {}
+        # f (x) id_Cd, one Cd coordinate k at a time
+        for k, vec in slices.items():
+            rows_k = rows.get(k)
+            if not rows_k:
+                continue
+            for t, fv in f.apply(vec).items():
+                for i, q in rows_k.get(t, ()):
+                    cur = acc.get(i)
+                    acc[i] = q * fv if cur is None else cur + q * fv
+        for i, v in acc.items():
+            m.set(i, j, v)  # drops a zero sum
+    return ModuleMap(A, B, m)
+
+
+def _trace_leg(C, side, partner, incoming):
+    """One coherence leg of a partial trace over C, cached on C by partner.
+
+    Incoming (partner A), the columns j of
+        right: assoc(A, C, Cd) . (id_A (x) coev_l) . (A -> A.1)
+        left:  assoc_inv(Cd, C, A) . (coev_r (x) id_A) . (A -> 1.A)
+    as {j: {k: {s: value}}}, k the Cd coordinate and s the index in the
+    source of f (A (x) C, resp. C (x) A).  Outgoing (partner B), the rows i of
+        right: (B.1 -> B) . (id_B (x) ev_r) . assoc_inv(B, C, Cd)
+        left:  (1.B -> B) . (ev_l (x) id_B) . assoc(Cd, C, B)
+    as {k: {t: [(i, value)]}}, t the index in the target of f.
+    """
+    key = (side, incoming, partner)
+    got = C._trace_legs.get(key)
+    if got is not None:
+        return got
+    H = C.H
+    d = C.duality()
+    dc, dp = C.dim, partner.dim
+    if side == "right":
+        # index (p, c, k) of P (x) C (x) Cd; the pair (c, k) is one C (x) Cd index
+        reps = (partner, C, d.dual)
+        pair = d.coev_left if incoming else d.ev_right
+        coherence = H.coassociator if incoming else H.coassociator_inv
+
+        def place(p, ck):
+            return p * dc * dc + ck
+
+        def split(idx):
+            return divmod(idx, dc)
+    else:
+        # index (k, c, p) of Cd (x) C (x) P; the pair (k, c) is one Cd (x) C index
+        reps = (d.dual, C, partner)
+        pair = d.coev_right if incoming else d.ev_left
+        coherence = H.coassociator_inv if incoming else H.coassociator
+
+        def place(p, kc):
+            return kc * dp + p
+
+        def split(idx):
+            k, s = divmod(idx, dc * dp)
+            return s, k
+    pair_vec = {(r if incoming else c): v
+                for (r, c), v in pair.matrix.entries.items()}
+    leg = {}
+    for p in range(dp):
+        vec = {place(p, idx): v for idx, v in pair_vec.items()}
+        for idx, v in _triple_action(coherence, reps, vec,
+                                     rows=not incoming).items():
+            s, k = split(idx)
+            if incoming:
+                leg.setdefault(p, {}).setdefault(k, {})[s] = v
+            else:
+                leg.setdefault(k, {}).setdefault(s, []).append((p, v))
+    C._trace_legs[key] = leg
+    return leg
+
+
+def _triple_action(tensor3, reps, vec, rows=False):
+    """tensor3 acting leg by leg on a sparse vector of U (x) V (x) W, or,
+    with rows=True, a sparse covector times that action: the product with
+    _triple_action_matrix(H, tensor3, U, V, W), without forming it."""
+    _, V, W = reps
+    dv, dw = V.dim, W.dim
+    leg_u, leg_v, leg_w = (rep.row if rows else rep.column for rep in reps)
+    out = {}
+    for (x, y, z), c in tensor3.coeffs.items():
+        for key, val in vec.items():
+            uv, w = divmod(key, dw)
+            u, v = divmod(uv, dv)
+            cv = c * val
+            for u2, a in leg_u(x, u).items():
+                ca = cv * a
+                for v2, b in leg_v(y, v).items():
+                    cab = ca * b
+                    base = (u2 * dv + v2) * dw
+                    for w2, e in leg_w(z, w).items():
+                        k = base + w2
+                        cur = out.get(k)
+                        out[k] = cab * e if cur is None else cur + cab * e
+    return {k: v for k, v in out.items() if v}
 
 
 def _tensor_map(f, g):

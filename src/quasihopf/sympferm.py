@@ -25,14 +25,14 @@ from functools import lru_cache
 
 from quasihopf.algcore import AlgebraData, LinearForm, TensorElement
 from quasihopf.exactmath import Scalar
-from quasihopf.qha import PivotalData, QuasiHopfAlgebra
+from quasihopf.qha import PivotalData, QuasiHopfAlgebra, QuasiHopfError
 
 
-class BadBeta(ValueError):
+class BadBeta(QuasiHopfError):
     pass
 
 
-class MaxNExceeded(ValueError):
+class MaxNExceeded(QuasiHopfError):
     pass
 
 

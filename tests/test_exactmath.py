@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -318,3 +320,13 @@ def test_multiplying_by_one_and_minus_one(case):
     for got in (x * minus, minus * x):
         _assert_canonical(got, n)
         assert got == -x
+
+
+def test_scalars_survive_pickle_and_deepcopy():
+    values = [Scalar.zero(8), Scalar.one(8),
+              Scalar.from_fraction(8, Fraction(-3, 4)), Scalar.zeta(8)]
+    for x in values:
+        for got in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x),
+                    copy.copy(x)):
+            assert got == x and hash(got) == hash(x)
+            _assert_canonical(got, 8)

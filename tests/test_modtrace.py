@@ -158,6 +158,9 @@ def test_reduction_mutation_fails_with_witness():
     rep = verify_reduction(fx.H, bad, sides=("right",))
     assert not rep.passed
     assert any(f.witness for f in rep.all_failures())
+    straightened = rep.find(
+        "straightened endomorphisms, exhaustive over basis pairs")
+    assert not straightened.passed and straightened.witness
 
 
 def test_checker_agrees_with_matrix_composites():
@@ -185,6 +188,30 @@ def test_checker_agrees_with_matrix_composites():
         assert ck_l.lhs(a, m) == evaluate(tr, tp_l, f_l)
         assert ck_l.rhs(a, m) == evaluate(
             tr, trivial_presentation(H), partial_trace(f_l, "left"))
+
+
+def test_extracted_matrices_match_both_sides_on_every_basis_pair():
+    """lhs_matrix(a) and rhs_matrix(a) hold lhs(a, E_jk) and rhs(a, E_jk)
+    at (j, k), for every basis a and matrix unit E_jk."""
+    fx = q_fixture(1, 7)
+    H = fx.H
+    tr = _trace_for(fx)
+    one, zero = Scalar.one(H.n), Scalar.zero(H.n)
+    for side in ("right", "left"):
+        ck = ReductionChecker(H, tr.form, side)
+        nonzero = 0
+        for a in range(H.dim):
+            a_elem = H.alg.basis(a)
+            lm, rm = ck.lhs_matrix(a_elem), ck.rhs_matrix(a_elem)
+            assert lm.rows == lm.cols == rm.rows == rm.cols == H.dim
+            for j in range(H.dim):
+                for k in range(H.dim):
+                    e_jk = SparseMatrix(H.n, H.dim, H.dim, {(j, k): one})
+                    lhs = ck.lhs(a_elem, e_jk)
+                    assert lm.get(j, k) == lhs
+                    assert rm.get(j, k) == ck.rhs(a_elem, e_jk)
+                    nonzero += lhs != zero
+        assert nonzero > 0
 
 
 def test_pairing_nondegenerate_and_counit_control():

@@ -222,6 +222,21 @@ def test_cli_integrals_on_non_unimodular_fixture():
     assert "symmetrised" in out
 
 
+def test_engine_errors_carry_their_exit_code():
+    from quasihopf import intcoint, modtrace, qha, sympferm
+
+    precondition = [qha.AxiomViolation, qha.MissingPivotalData,
+                    intcoint.DimensionZero, intcoint.WrongSolutionDim,
+                    intcoint.InconsistentModulus, modtrace.NotUnimodular,
+                    modtrace.NotSymmetrisedCointegral, sympferm.BadBeta,
+                    sympferm.MaxNExceeded]
+    for cls in precondition + [intcoint.VerificationFailed]:
+        assert issubclass(cls, qha.QuasiHopfError)
+        assert issubclass(cls, ValueError)
+    assert {cls.exit_code for cls in precondition} == {cli.EXIT_AXIOM}
+    assert intcoint.VerificationFailed.exit_code == cli.EXIT_VERIFY
+
+
 def test_cli_axiom_violation_exit_code(tmp_path):
     import pathlib
 

@@ -348,3 +348,104 @@ def test_duals_and_pivot_requires_pivotal_data():
         duals_and_pivot(regular_module(bare))
     data = duals_and_pivot(regular_module(H))
     assert data.ev_right is not None and data.coev_right is not None
+
+
+# -- partial traces against the materialized composite -------------------------
+
+
+def _composite_trace(f, side):
+    """The partial trace as the literal product of the module maps, with the
+    associator matrices and f (x) id formed in full."""
+    tmap, ident = repcat._tensor_map, ModuleMap.identity
+    if side == "right":
+        A, C, B = f.source.left, f.source.right, f.target.left
+        d = DualityData(C)
+        pre = associator(A, C, d.dual) @ tmap(ident(A), d.coev_left) \
+            @ unit_intro_right(A)
+        post = unit_elim_right(B) @ tmap(ident(B), d.ev_right) \
+            @ associator_inv(B, C, d.dual)
+        return post @ tmap(f, ident(d.dual)) @ pre
+    C, A, B = f.source.left, f.source.right, f.target.right
+    d = DualityData(C)
+    pre = associator_inv(d.dual, C, A) @ tmap(d.coev_right, ident(A)) \
+        @ unit_intro_left(A)
+    post = unit_elim_left(B) @ tmap(d.ev_left, ident(B)) \
+        @ associator(d.dual, C, B)
+    return post @ tmap(ident(d.dual), f) @ pre
+
+
+def _seeded_map(M, P, seed):
+    """A seeded combination of a basis of Hom_H(M, P)."""
+    H = M.H
+    rng = random.Random(seed)
+    acc = SparseMatrix(H.n, P.dim, M.dim)
+    for b in hom_space(M, P):
+        acc = acc + b.matrix.scale(Scalar.from_int(H.n, rng.choice((1, -1, 2))))
+    return ModuleMap(M, P, acc)
+
+
+def test_partial_trace_matches_composite_on_the_regular_module():
+    fx = q_fixture(1, 7)
+    H = fx.H
+    reg = regular_module(H)
+    maps = phi_psi(H, reg)
+    m = SparseMatrix(H.n, 16, 16)
+    m.set(2, 2, Scalar.from_int(H.n, 2))
+    m.set(3, 9, Scalar.one(H.n))
+    a = H.basis(1) + H.basis(3)
+    for side, build in (("right", xi), ("left", xi_left)):
+        f = build(H, reg, a, m, maps=maps)
+        got = partial_trace(f, side)
+        assert got.matrix.nnz() > 0
+        assert got.matrix == _composite_trace(f, side).matrix
+        assert got.source.dim == got.target.dim == 16
+
+
+def test_partial_trace_matches_composite_on_other_modules():
+    H = z4()
+    reg = regular_module(H)
+    tri = trivial_module(H, 2)
+    tri_reg, reg_reg = tensor(tri, reg), tensor(reg, reg)
+    cases = [(_seeded_map(tri_reg, tri_reg, 1), "right"),
+             (_seeded_map(tri_reg, tri_reg, 2), "left"),
+             # A != B: the partner modules of the two coherence legs differ
+             (_seeded_map(tri_reg, reg_reg, 3), "right")]
+    for f, side in cases:
+        got = partial_trace(f, side)
+        assert got.matrix.nnz() > 0
+        assert got.matrix == _composite_trace(f, side).matrix
+
+
+def test_second_partial_trace_reuses_the_coherence_legs(monkeypatch):
+    fx = q_fixture(1, 7)
+    H = fx.H
+    reg = regular_module(H)
+    maps = phi_psi(H, reg)
+    m = SparseMatrix(H.n, 16, 16)
+    m.set(4, 1, Scalar.one(H.n))
+    fs = [xi(H, reg, H.basis(k), m, maps=maps) for k in (3, 6)]
+    first = partial_trace(fs[0], "right")
+    built = []
+
+    class CountingDualityData(DualityData):
+        def __init__(self, V):
+            built.append("duality")
+            super().__init__(V)
+
+    def counting(name):
+        fn = getattr(repcat, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(repcat, "DualityData", CountingDualityData)
+    # the associator matrices, and the leg-wise coherence actions
+    for name in ("_triple_action_matrix", "_triple_action"):
+        monkeypatch.setattr(repcat, name, counting(name))
+    assert partial_trace(fs[0], "right").matrix == first.matrix
+    second = partial_trace(fs[1], "right")
+    assert built == []
+    monkeypatch.undo()
+    assert second.matrix == _composite_trace(fs[1], "right").matrix
