@@ -5,14 +5,13 @@ modified traces on projective modules, entirely over exact cyclotomic
 number fields.
 """
 
-from quasihopf.algcore import AlgebraData, LinearForm, LinearOperator, TensorElement
+from quasihopf.algcore import AlgebraData, LinearForm, TensorElement
 from quasihopf.exactmath import Scalar, SparseMatrix, format_scalar, parse_scalar
 from quasihopf.qha import PivotalData, QuasiHopfAlgebra, check_axioms
 
 __all__ = [
     "AlgebraData",
     "LinearForm",
-    "LinearOperator",
     "PivotalData",
     "QuasiHopfAlgebra",
     "Scalar",

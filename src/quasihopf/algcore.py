@@ -217,60 +217,6 @@ class LinearForm:
         return f"LinearForm(order={self.order}, {{{terms}}})"
 
 
-class LinearOperator:
-    """Linear map H^(x m) -> H^(x n) backed by a sparse matrix.
-
-    Indices are flattened row-major: (i_1, ..., i_k) -> ((i_1*dim + i_2)*dim + ...).
-    """
-
-    __slots__ = ("dim", "dom_order", "cod_order", "matrix")
-
-    def __init__(self, dim, dom_order, cod_order, matrix):
-        self.dim = dim
-        self.dom_order = dom_order
-        self.cod_order = cod_order
-        self.matrix = matrix
-
-    @classmethod
-    def from_basis_images(cls, dim, n, images, cod_order=None):
-        """Operator H -> H^(x k) from one TensorElement per basis element."""
-        cod_order = images[0].order if cod_order is None else cod_order
-        m = SparseMatrix(n, dim ** cod_order, dim)
-        for j, img in enumerate(images):
-            for key, v in img.coeffs.items():
-                m.add_to(flatten_index(key, dim), j, v)
-        return cls(dim, 1, cod_order, m)
-
-    def apply(self, x):
-        if x.order != self.dom_order:
-            raise OrderMismatch("operator domain order mismatch")
-        vec = {flatten_index(k, self.dim): v for k, v in x.coeffs.items()}
-        out = self.matrix.apply(vec)
-        return TensorElement.wrap(
-            x.n, self.cod_order,
-            {unflatten_index(i, self.dim, self.cod_order): v for i, v in out.items()})
-
-    def compose(self, other):
-        if other.cod_order != self.dom_order:
-            raise OrderMismatch("operator composition order mismatch")
-        return LinearOperator(self.dim, other.dom_order, self.cod_order,
-                              self.matrix @ other.matrix)
-
-
-def flatten_index(key, dim):
-    idx = 0
-    for k in key:
-        idx = idx * dim + k
-    return idx
-
-
-def unflatten_index(idx, dim, order):
-    key = [0] * order
-    for pos in range(order - 1, -1, -1):
-        idx, key[pos] = divmod(idx, dim)
-    return tuple(key)
-
-
 class AlgebraData:
     """Structure-constant presentation of a finite-dimensional unital algebra.
 

@@ -12,10 +12,10 @@ Subcommands:
                                          [--emit-spec PATH]
     verify <spec> --suite ...            reduction / pairing property suites
 
-Exit codes: 0 success; 1 output closed early; 2 parse error; 3 axiom or
-precondition failure; 4 verification failure.  All sampling is controlled
-by --seed/--budget, and reports are byte-identical across runs with equal
-inputs and seeds.
+Exit codes: 0 success; 1 output closed early; 2 parse error or bad argument
+or setting; 3 axiom or precondition failure; 4 verification failure.  All
+sampling is controlled by --seed/--budget, and reports are byte-identical
+across runs with equal inputs and seeds.
 """
 
 import argparse
@@ -182,6 +182,18 @@ def cmd_verify(args):
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
+def _positive_int(text):
+    """argparse type for counts: a bad value exits 2 with a usage line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="quasihopf",
@@ -195,7 +207,7 @@ def main(argv=None):
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_positive_int, default=None,
                        help="sample budget for large-dimension checks")
 
     p = sub.add_parser("check", help="verify the quasi-Hopf axioms")
@@ -218,7 +230,7 @@ def main(argv=None):
     p = sub.add_parser("sympferm",
                        help="build the symplectic fermion family Q(N, beta)")
     common(p, spec=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--beta", required=True,
                    help="scalar, e.g. z8^7 (beta^4 must equal (-1)^N)")
     p.add_argument("--field", type=int, default=8,

@@ -33,6 +33,16 @@ for every basis h, which in the unimodular case collapse to
 
     sym_r(h) 1 = (sym_r (x) g)(q_r Delta(h) p_r)
     sym_l(h) 1 = (g^-1 (x) sym_l)(q_l Delta(h) p_l).
+
+One path per one-sided pair.  H^cop has H's algebra and counit, pivot
+g^-1, antipode S^-1, q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21
+(pinned by test_opposite_and_coopposite), so each left-side statement on H
+is the right-side statement on H.coopposite(), and u_cop is u of H^cop.
+cointegrals writes the left system and solves the right side on H^cop;
+symmetrise, check_symmetrised, check_nakayama and check_twisted_symmetry
+write the right side and run the left side on H^cop (side_algebra).  The
+modulus is H's and is passed in, and report names and witnesses keep the
+side that was asked for.
 """
 
 from dataclasses import dataclass
@@ -87,6 +97,12 @@ class CointegralResult:
 
 def _counit_as_form(H):
     return LinearForm(H.n, 1, dict(H.counit.coeffs))
+
+
+def side_algebra(H, side):
+    """The algebra on which a right-side construction gives `side` of H:
+    H itself for 'right', H.coopposite() for 'left'."""
+    return H if side == "right" else H.coopposite()
 
 
 def integrals(H, side="left"):
@@ -157,7 +173,7 @@ def _left_cointegral_rows(H, gamma):
     """Rows of the stacked left-cointegral system, one block per basis h."""
     A = H.alg
     dim = H.dim
-    cap_u, cap_v, _, _ = derive_UVu(H, gamma.form)
+    cap_u, cap_v, _ = derive_UVu(H, gamma.form)
     phi = H.coassociator
     for h in range(dim):
         rows = {}
@@ -215,17 +231,16 @@ def cointegrals(H, side="right", pin=None):
 def symmetrise(H, result):
     """Shift a cointegral by u g (right) or u_cop g^-1 (left) and verify.
 
-    Fills result.symmetrised and returns the form; raises VerificationFailed
-    with the offending basis element if the characterisation does not hold.
+    The shift is u g of side_algebra(H, result.side).  Fills
+    result.symmetrised and returns the form; raises VerificationFailed with
+    the offending basis element if the characterisation does not hold.
     """
-    p = H.require_pivotal()
+    Hq = side_algebra(H, result.side)
+    p = Hq.require_pivotal()
     A = H.alg
     gamma = modulus(H)
-    _, _, u, u_cop = derive_UVu(H, gamma.form)
-    if result.side == "right":
-        shift = A.mul(u, p.pivot)
-    else:
-        shift = A.mul(u_cop, p.pivot_inv)
+    _, _, u = derive_UVu(Hq, gamma.form)
+    shift = A.mul(u, p.pivot)
     sym = LinearForm(H.n, 1, {
         (a,): v for a in range(H.dim)
         if (v := result.form.evaluate(A.mul(shift, A.basis(a))))})
@@ -239,41 +254,26 @@ def symmetrise(H, result):
 
 
 def check_symmetrised(H, sym, gamma, side):
-    """The intrinsic characterisation of a symmetrised cointegral, per basis."""
+    """The intrinsic characterisation of a symmetrised cointegral, per basis:
+    the right-side identity on side_algebra(H, side)."""
+    Hq = side_algebra(H, side)
     A = H.alg
-    p = H.require_pivotal()
-    ce = H.canonical_elements()
+    p = Hq.require_pivotal()
+    ce = Hq.canonical_elements()
     report = Check(f"symmetrised-{side}-cointegral")
-    if side == "right":
-        sandwich = lambda dh: A.mul(A.mul(ce.q_r, dh), ce.p_r)
-        phi = H.coassociator
 
-        def rhs_of(h):
-            acc = TensorElement(H.n, 1)
-            for (p1, p2, p3), c in phi.coeffs.items():
-                w = gamma.of(A.basis(p1)) * c * A.form_on_product(sym, p2, h)
-                if w:
-                    acc = acc + A.mul(p.pivot_inv, H.S(A.basis(p3))).scale(w)
-            return acc
+    def rhs_of(h):
+        acc = TensorElement(H.n, 1)
+        for (p1, p2, p3), c in Hq.coassociator.coeffs.items():
+            w = gamma.of(A.basis(p1)) * c * A.form_on_product(sym, p2, h)
+            if w:
+                acc = acc + A.mul(p.pivot_inv, Hq.S(A.basis(p3))).scale(w)
+        return acc
 
-        contract_leg = 0
-    else:
-        sandwich = lambda dh: A.mul(A.mul(ce.q_l, dh), ce.p_l)
-        psi = H.coassociator_inv
-
-        def rhs_of(h):
-            acc = TensorElement(H.n, 1)
-            for (p1, p2, p3), c in psi.coeffs.items():
-                w = gamma.of(A.basis(p3)) * c * A.form_on_product(sym, p2, h)
-                if w:
-                    acc = acc + A.mul(p.pivot, H.S_inv(A.basis(p1))).scale(w)
-            return acc
-
-        contract_leg = 1
     first_bad = None
     for h in range(H.dim):
-        mid = sandwich(H.delta(A.basis(h)))
-        lhs = sym.contract(mid, (contract_leg,))
+        mid = A.mul(A.mul(ce.q_r, Hq.delta(A.basis(h))), ce.p_r)
+        lhs = sym.contract(mid, (0,))
         if lhs != rhs_of(h):
             first_bad = A.labels[h]
             break
@@ -318,17 +318,17 @@ def check_form_properties(H, form, gamma):
 
 def check_twisted_symmetry(H, sym, gamma, side):
     """sym_l(ab) = sym_l((gamma -> b) a) resp. sym_r(ab) = sym_r((b <- gamma) a),
-    exhaustively over basis pairs."""
+    exhaustively over basis pairs; checked as the right identity on
+    side_algebra(H, side)."""
+    Hq = side_algebra(H, side)
     A = H.alg
     report = Check(f"twisted-symmetry-{side}")
+    shifted = [Hq.hit_elem_left(A.basis(j), gamma.form) for j in range(H.dim)]
     first_bad = None
     for i in range(H.dim):
         for j in range(H.dim):
-            b = A.basis(j)
-            shifted = H.hit_elem_right(gamma.form, b) if side == "left" \
-                else H.hit_elem_left(b, gamma.form)
             lhs = A.form_on_product(sym, i, j)
-            rhs = sym.evaluate(A.mul(shifted, A.basis(i)))
+            rhs = sym.evaluate(A.mul(shifted[j], A.basis(i)))
             if lhs != rhs:
                 first_bad = f"({A.labels[i]}, {A.labels[j]})"
                 break
@@ -343,18 +343,17 @@ def check_nakayama(H, form, gamma, side):
 
         left:  lam(S^-1(a) b) = lam(b S(a <- gamma))
         right: lam(S(a) b)    = lam(b S^-1(gamma -> a))
+
+    checked as the right law on side_algebra(H, side).
     """
+    Hq = side_algebra(H, side)
     A = H.alg
     report = Check(f"nakayama-{side}")
     first_bad = None
     for i in range(H.dim):
         a = A.basis(i)
-        if side == "left":
-            sa = H.S_inv(a)
-            shifted = H.S(H.hit_elem_left(a, gamma.form))
-        else:
-            sa = H.S(a)
-            shifted = H.S_inv(H.hit_elem_right(gamma.form, a))
+        sa = Hq.S(a)
+        shifted = Hq.S_inv(Hq.hit_elem_right(gamma.form, a))
         for j in range(H.dim):
             b = A.basis(j)
             if form.evaluate(A.mul(sa, b)) != form.evaluate(A.mul(b, shifted)):
@@ -367,20 +366,11 @@ def check_nakayama(H, form, gamma, side):
 
 
 def convert_right_to_left(H, lam_r):
-    """(lam_r <- u) composed with S is a left cointegral."""
+    """(lam_r <- u) composed with S is a left cointegral.  On H.coopposite()
+    it converts a left cointegral of H into a right one."""
     gamma = modulus(H)
-    _, _, u, _ = derive_UVu(H, gamma.form)
+    _, _, u = derive_UVu(H, gamma.form)
     A = H.alg
     return LinearForm(H.n, 1, {
         (a,): v for a in range(H.dim)
         if (v := lam_r.evaluate(A.mul(u, H.S(A.basis(a)))))})
-
-
-def convert_left_to_right(H, lam_l):
-    """(lam_l <- u_cop) composed with S^-1 is a right cointegral."""
-    gamma = modulus(H)
-    _, _, _, u_cop = derive_UVu(H, gamma.form)
-    A = H.alg
-    return LinearForm(H.n, 1, {
-        (a,): v for a in range(H.dim)
-        if (v := lam_l.evaluate(A.mul(u_cop, H.S_inv(A.basis(a)))))})

@@ -8,7 +8,18 @@ right modified trace exactly when
     t(a) 1 = (t (x) g)(q_r Delta(a) p_r)      for all a,
 
 (left variant with g^-1, q_l, p_l and the legs swapped), which is the same
-condition as being a symmetrised cointegral.  This module provides:
+condition as being a symmetrised cointegral.
+
+One path per one-sided pair, as in intcoint: the left variant of a
+construction on H is the right one on H.coopposite(), which is exact
+because q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21 (pinned by
+test_opposite_and_coopposite).  closed_reduction_defect is written for the
+right side and ReductionChecker for the left side; from_symmetrised_cointegral
+and verify_reduction run each on H or H^cop to get the side they need.
+repcat's left partial trace, left straightening maps and xi_left stay as
+the independent H-side reference the checker is tested against.
+
+This module provides:
 
   * the construction of the trace from a symmetrised cointegral (refusing
     non-unimodular input),
@@ -30,7 +41,7 @@ from dataclasses import dataclass, field
 
 from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
-from quasihopf.intcoint import modulus
+from quasihopf.intcoint import modulus, side_algebra
 from quasihopf.qha import QuasiHopfAlgebra, QuasiHopfError
 from quasihopf.repcat import ModuleMap, RegularRep, hom_space
 from quasihopf.report import Check
@@ -56,28 +67,22 @@ class ModifiedTrace:
     lambda_hat: LinearForm   # the symmetrised cointegral it came from
 
 
-def closed_reduction_defect(H, t, a_elem, side="right"):
-    """t(a) 1 - (t (x) g)(q_r Delta(a) p_r), resp. the left variant.
+def closed_reduction_defect(H, t, a_elem):
+    """t(a) 1 - (t (x) g)(q_r Delta(a) p_r).
 
-    Zero exactly when the reduction condition holds at a.
+    Zero exactly when the right reduction condition holds at a.  On
+    H.coopposite() it is H's left defect,
+    t(a) 1 - (g^-1 (x) t)(q_l Delta(a) p_l).
     """
     A = H.alg
     ce = H.canonical_elements()
     p = H.require_pivotal()
-    if side == "right":
-        mid = A.mul(A.mul(ce.q_r, H.delta(a_elem)), ce.p_r)
-        acc = TensorElement(H.n, 1)
-        for (x, y), c in mid.coeffs.items():
-            tv = t.coeffs.get((x,))
-            if tv is not None:
-                acc = acc + A.mul(p.pivot, A.basis(y)).scale(c * tv)
-    else:
-        mid = A.mul(A.mul(ce.q_l, H.delta(a_elem)), ce.p_l)
-        acc = TensorElement(H.n, 1)
-        for (x, y), c in mid.coeffs.items():
-            tv = t.coeffs.get((y,))
-            if tv is not None:
-                acc = acc + A.mul(p.pivot_inv, A.basis(x)).scale(c * tv)
+    mid = A.mul(A.mul(ce.q_r, H.delta(a_elem)), ce.p_r)
+    acc = TensorElement(H.n, 1)
+    for (x, y), c in mid.coeffs.items():
+        tv = t.coeffs.get((x,))
+        if tv is not None:
+            acc = acc + A.mul(p.pivot, A.basis(y)).scale(c * tv)
     return A.unit.scale(t.evaluate(a_elem)) - acc
 
 
@@ -95,12 +100,9 @@ def from_symmetrised_cointegral(H, lam_hat, side="right"):
     A = H.alg
     sides_ok = {}
     for s in ("right", "left"):
-        ok = True
-        for a in range(H.dim):
-            if closed_reduction_defect(H, lam_hat, A.basis(a), s):
-                ok = False
-                break
-        sides_ok[s] = ok
+        Hq = side_algebra(H, s)
+        sides_ok[s] = not any(closed_reduction_defect(Hq, lam_hat, A.basis(a))
+                              for a in range(H.dim))
     if not sides_ok[side]:
         raise NotSymmetrisedCointegral(
             f"form is not a symmetrised {side} cointegral")
@@ -240,32 +242,13 @@ def tensor_presentation(H, maps):
     return ProjectivePresentation(target, a_maps, b_maps)
 
 
-def tensor_presentation_left(H, maps):
-    """Presentation of W (x) H through the left straightening maps."""
-    _, _, phi_l, psi_l = maps
-    triv_reg = phi_l.source       # trivialized W (x) H
-    target = phi_l.target         # W (x) H
-    H_dim = H.dim
-    w_dim = triv_reg.dim // H_dim
-    reg = target.right
-    a_maps, b_maps = [], []
-    for j in range(w_dim):
-        inj = SparseMatrix(H.n, triv_reg.dim, H_dim)
-        for h in range(H_dim):
-            inj.set(j * H_dim + h, h, Scalar.one(H.n))
-        proj = SparseMatrix(H.n, H_dim, triv_reg.dim)
-        for h in range(H_dim):
-            proj.set(h, j * H_dim + h, Scalar.one(H.n))
-        a_maps.append(phi_l @ ModuleMap(reg, triv_reg, inj))
-        b_maps.append(ModuleMap(triv_reg, reg, proj) @ psi_l)
-    return ProjectivePresentation(target, a_maps, b_maps)
-
-
 # -- the reduction verifier ----------------------------------------------------
 
 
 class ReductionChecker:
-    """Exact comparison of t_{H (x) H}(Xi(a (x) m)) against t_H(tr(Xi(a (x) m))).
+    """Exact comparison of t_{W (x) H}(Xi(a (x) m)) against
+    t_H(tr(Xi(a (x) m))) for the left partial trace; on H.coopposite() it
+    checks the right side of H, with the same values.
 
     The left-hand side goes through the presentation sum over the
     straightening maps; the right-hand side walks the literal partial-trace
@@ -278,154 +261,91 @@ class ReductionChecker:
     like m's entries.
     """
 
-    def __init__(self, H, t_form, side="right"):
+    def __init__(self, H, t_form):
         self.H = H
         self.A = H.alg
         self.t = t_form
-        self.side = side
         self.ce = H.canonical_elements()
         self.p = H.require_pivotal()
-        n = H.n
         A = self.A
         dim = H.dim
         self._phipost = {}
         self._sandwich_col = {}
+        self._t_shifts = {}
 
-        if side == "right":
-            # stage A -> A(C Cd) -> (A C)Cd applied to 1, with C = H regular:
-            # v1 keys (a, c, d)
-            v1 = {}
-            phi = H.coassociator
-            for (p1, p2, p3), cphi in phi.coeffs.items():
-                rows = _rows_by_output(A.left_mult_matrix(H.S(A.basis(p3))))
-                for i in range(dim):
-                    dlegs = rows.get(i)
-                    if not dlegs:
-                        continue
-                    bcol = A.mul(H.beta, A.basis(i))
-                    for (kc,), cb in bcol.coeffs.items():
-                        c2cell = A.mul(A.basis(p2), A.basis(kc))
-                        for (kc2,), c2 in c2cell.coeffs.items():
-                            for (ka,), ca in A.mul(A.basis(p1), A.unit).coeffs.items():
-                                w = cphi * cb * c2 * ca
-                                for k, cv in dlegs:
-                                    key = (ka, kc2, k)
-                                    cur = v1.get(key)
-                                    s = w * cv if cur is None else cur + w * cv
-                                    v1[key] = s
-            # apply the inverse straightening on the (A, C) legs once
-            self.v1s = self._apply_sandwich_legs(v1)
-            # POST data: per inverse-coassociator term, the weight vector
-            # t(e_P e_b) and the element S(e_R) S(alpha) g e_Q
-            self.post_terms = []
-            for (P, Q, R), k in H.coassociator_inv.coeffs.items():
-                z = A.mul_many(H.S(A.basis(R)), H.S(H.alpha), self.p.pivot,
-                               A.basis(Q))
-                tvec = {}
-                for b in range(dim):
-                    val = self.t.evaluate(A.mul(A.basis(P), A.basis(b)))
-                    if val:
-                        tvec[b] = val
-                if tvec:
-                    self.post_terms.append((k, tvec, z))
-        else:
-            # left composite: A -> (Cd C)A -> Cd(C A), keys (d, c, a)
-            v1 = {}
-            psi = H.coassociator_inv
-            sbeta = A.left_mult_matrix(H.S(H.beta))
-            ginv = A.left_mult_matrix(self.p.pivot_inv)
-            coevr = {}
-            # coevR(1) = sum_{i,j} (S(beta) e_j)_i  e^j (x) g^-1 e_i
-            sb_by = {}
-            for (r, c), v in sbeta.entries.items():
-                sb_by.setdefault(r, []).append((c, v))
-            for i in range(dim):
-                gcol = ginv.apply({i: Scalar.one(n)})
-                for j, cb in sb_by.get(i, []):
-                    for k, cg in gcol.items():
-                        key = (j, k)
-                        cur = coevr.get(key)
-                        s = cb * cg if cur is None else cur + cb * cg
-                        coevr[key] = s
-            for (P, Q, R), cpsi in psi.coeffs.items():
-                rows = _rows_by_output(A.left_mult_matrix(H.S(A.basis(P))))
-                rleg = A.mul(A.basis(R), A.unit)
-                for (j, k), cc in coevr.items():
-                    dlegs = rows.get(j)
-                    if not dlegs or not cc:
-                        continue
-                    ccell = A.mul(A.basis(Q), A.basis(k))
-                    for (kc2,), c2 in ccell.coeffs.items():
-                        for (ka,), ca in rleg.coeffs.items():
-                            w = cpsi * cc * c2 * ca
-                            for k2, cv in dlegs:
-                                key = (k2, kc2, ka)
-                                cur = v1.get(key)
-                                s = w * cv if cur is None else cur + w * cv
-                                v1[key] = s
-            self.v1s = self._apply_sandwich_legs(v1)
-            self.post_terms = []
-            for (P, Q, R), k in H.coassociator.coeffs.items():
-                z = A.mul_many(H.S(A.basis(P)), H.alpha, A.basis(Q))
-                tvec = {}
-                for b in range(dim):
-                    val = self.t.evaluate(A.mul(A.basis(R), A.basis(b)))
-                    if val:
-                        tvec[b] = val
-                if tvec:
-                    self.post_terms.append((k, tvec, z))
+        # the composite A -> (Cd C)A -> Cd(C A) applied to 1, with C = H
+        # regular: v1 keys (d, c, a)
+        v1 = {}
+        psi = H.coassociator_inv
+        sbeta = A.left_mult_matrix(H.S(H.beta))
+        ginv = A.left_mult_matrix(self.p.pivot_inv)
+        coevr = {}
+        # coevR(1) = sum_{i,j} (S(beta) e_j)_i  e^j (x) g^-1 e_i
+        sb_by = _rows_by_output(sbeta)
+        for i in range(dim):
+            gcol = ginv.apply({i: Scalar.one(H.n)})
+            for j, cb in sb_by.get(i, []):
+                for k, cg in gcol.items():
+                    key = (j, k)
+                    cur = coevr.get(key)
+                    coevr[key] = cb * cg if cur is None else cur + cb * cg
+        for (P, Q, R), cpsi in psi.coeffs.items():
+            rows = _rows_by_output(A.left_mult_matrix(H.S(A.basis(P))))
+            rleg = A.mul(A.basis(R), A.unit)
+            for (j, k), cc in coevr.items():
+                dlegs = rows.get(j)
+                if not dlegs or not cc:
+                    continue
+                ccell = A.mul(A.basis(Q), A.basis(k))
+                for (kc2,), c2 in ccell.coeffs.items():
+                    for (ka,), ca in rleg.coeffs.items():
+                        w = cpsi * cc * c2 * ca
+                        for k2, cv in dlegs:
+                            key = (k2, kc2, ka)
+                            cur = v1.get(key)
+                            v1[key] = w * cv if cur is None else cur + w * cv
+        # apply the inverse straightening on the (C, A) legs once
+        self.v1s = self._apply_sandwich_legs(v1)
+        # POST data: per coassociator term, the weight vector t(e_R e_b)
+        # and the element S(e_P) alpha e_Q
+        self.post_terms = []
+        for (P, Q, R), k in H.coassociator.coeffs.items():
+            z = A.mul_many(H.S(A.basis(P)), H.alpha, A.basis(Q))
+            tvec = {}
+            for b in range(dim):
+                val = self.t.evaluate(A.mul(A.basis(R), A.basis(b)))
+                if val:
+                    tvec[b] = val
+            if tvec:
+                self.post_terms.append((k, tvec, z))
 
     def _sandwich(self, a, c):
-        """One column of the inverse straightening on a basis pair.
-
-        right: psi_r(e_a (x) e_c) with keys (H-leg, W-leg);
-        left:  psi_l(e_c (x) e_a) with keys (W-leg, H-leg) stored as
-        (H-leg, W-leg) for uniformity.
-        """
+        """One column of the inverse straightening psi_l(e_c (x) e_a), with
+        keys (W-leg, H-leg) stored as (H-leg, W-leg)."""
         key = (a, c)
         col = self._sandwich_col.get(key)
         if col is not None:
             return col
         A, H = self.A, self.H
         col = {}
-        if self.side == "right":
-            mid = A.mul(self.ce.q_r, H.delta(A.basis(a)))
-            for (x1, x2), cm in mid.coeffs.items():
-                s_act = A.mul(H.S(A.basis(x2)), A.basis(c))
-                for (r,), cv in s_act.coeffs.items():
-                    k2 = (x1, r)
-                    cur = col.get(k2)
-                    s = cm * cv if cur is None else cur + cm * cv
-                    col[k2] = s
-        else:
-            mid = A.mul(self.ce.q_l, H.delta(A.basis(a)))
-            for (x1, x2), cm in mid.coeffs.items():
-                s_act = A.mul(H.S_inv(A.basis(x1)), A.basis(c))
-                for (r,), cv in s_act.coeffs.items():
-                    k2 = (x2, r)
-                    cur = col.get(k2)
-                    s = cm * cv if cur is None else cur + cm * cv
-                    col[k2] = s
+        mid = A.mul(self.ce.q_l, H.delta(A.basis(a)))
+        for (x1, x2), cm in mid.coeffs.items():
+            s_act = A.mul(H.S_inv(A.basis(x1)), A.basis(c))
+            for (r,), cv in s_act.coeffs.items():
+                k2 = (x2, r)
+                cur = col.get(k2)
+                col[k2] = cm * cv if cur is None else cur + cm * cv
         col = {k: v for k, v in col.items() if v}
         self._sandwich_col[key] = col
         return col
 
     def _apply_sandwich_legs(self, v1):
         out = {}
-        if self.side == "right":
-            for (a, c, d), val in v1.items():
-                for (x, r), cv in self._sandwich(a, c).items():
-                    key = (x, r, d)
-                    cur = out.get(key)
-                    s = val * cv if cur is None else cur + val * cv
-                    out[key] = s
-        else:
-            for (d, c, a), val in v1.items():
-                for (x, r), cv in self._sandwich(a, c).items():
-                    key = (x, r, d)
-                    cur = out.get(key)
-                    s = val * cv if cur is None else cur + val * cv
-                    out[key] = s
+        for (d, c, a), val in v1.items():
+            for (x, r), cv in self._sandwich(a, c).items():
+                key = (x, r, d)
+                cur = out.get(key)
+                out[key] = val * cv if cur is None else cur + val * cv
         return {k: v for k, v in out.items() if v}
 
     def _phipost_at(self, x, y):
@@ -437,36 +357,19 @@ class ReductionChecker:
             return got
         A, H = self.A, self.H
         out = {}
-        if self.side == "right":
-            mid = A.mul(H.delta(A.basis(x)), self.ce.p_r)
-            for (u, w), c in mid.coeffs.items():
-                w_act = A.mul(A.basis(w), A.basis(y))
-                for (w2,), c2 in w_act.coeffs.items():
-                    for k, tvec, z in self.post_terms:
-                        tv = tvec.get(u)
-                        if tv is None:
-                            continue
-                        zc = A.mul(z, A.basis(w2))
-                        for (dd,), zv in zc.coeffs.items():
-                            wgt = c * c2 * k * tv * zv
-                            cur = out.get(dd)
-                            s = wgt if cur is None else cur + wgt
-                            out[dd] = s
-        else:
-            mid = A.mul(H.delta(A.basis(x)), self.ce.p_l)
-            for (w, u), c in mid.coeffs.items():
-                w_act = A.mul(A.basis(w), A.basis(y))
-                for (w2,), c2 in w_act.coeffs.items():
-                    for k, tvec, z in self.post_terms:
-                        tv = tvec.get(u)
-                        if tv is None:
-                            continue
-                        zc = A.mul(z, A.basis(w2))
-                        for (dd,), zv in zc.coeffs.items():
-                            wgt = c * c2 * k * tv * zv
-                            cur = out.get(dd)
-                            s = wgt if cur is None else cur + wgt
-                            out[dd] = s
+        mid = A.mul(H.delta(A.basis(x)), self.ce.p_l)
+        for (w, u), c in mid.coeffs.items():
+            w_act = A.mul(A.basis(w), A.basis(y))
+            for (w2,), c2 in w_act.coeffs.items():
+                for k, tvec, z in self.post_terms:
+                    tv = tvec.get(u)
+                    if tv is None:
+                        continue
+                    zc = A.mul(z, A.basis(w2))
+                    for (dd,), zv in zc.coeffs.items():
+                        wgt = c * c2 * k * tv * zv
+                        cur = out.get(dd)
+                        out[dd] = wgt if cur is None else cur + wgt
         out = {k: v for k, v in out.items() if v}
         self._phipost[key] = out
         return out
@@ -532,22 +435,15 @@ class ReductionChecker:
         multiplication by an element e(a)."""
         A, H = self.A, self.H
         e_parts = TensorElement(H.n, 1)
-        if self.side == "right":
-            mid = A.mul(H.delta(a_elem), self.ce.p_r)
-            for (x, y), c in mid.coeffs.items():
-                t_shift = self._t_shift_right(x)
-                if t_shift is not None:
-                    e_parts = e_parts + A.mul(t_shift, A.basis(y)).scale(c)
-        else:
-            mid = A.mul(H.delta(a_elem), self.ce.p_l)
-            for (x, y), c in mid.coeffs.items():
-                t_shift = self._t_shift_left(y)
-                if t_shift is not None:
-                    e_parts = e_parts + A.mul(t_shift, A.basis(x)).scale(c)
+        mid = A.mul(H.delta(a_elem), self.ce.p_l)
+        for (x, y), c in mid.coeffs.items():
+            t_shift = self._t_shift(y)
+            if t_shift is not None:
+                e_parts = e_parts + A.mul(t_shift, A.basis(x)).scale(c)
         return A.left_mult_matrix(e_parts).transpose()
 
     def lhs(self, a_elem, m):
-        """t_{H (x) W}(Xi(a (x) m)) via the presentation sum, folded into
+        """t_{W (x) H}(Xi(a (x) m)) via the presentation sum, folded into
         trace-of-operator form."""
         coeffs = self.lhs_matrix(a_elem).entries
         total = Scalar.zero(self.H.n)
@@ -557,25 +453,11 @@ class ReductionChecker:
                 total = total + mv * lv
         return total
 
-    def _t_shift_right(self, x):
-        cache = self.__dict__.setdefault("_tsr", {})
-        got = cache.get(x)
-        if got is None and x not in cache:
-            A, H = self.A, self.H
-            acc = TensorElement(H.n, 1)
-            mid = A.mul(self.ce.q_r, H.delta(A.basis(x)))
-            for (x1, x2), c in mid.coeffs.items():
-                tv = self.t.coeffs.get((x1,))
-                if tv is not None:
-                    acc = acc + H.S(A.basis(x2)).scale(c * tv)
-            cache[x] = acc if acc else None
-            got = cache[x]
-        return got
-
-    def _t_shift_left(self, y):
-        cache = self.__dict__.setdefault("_tsl", {})
-        got = cache.get(y)
-        if got is None and y not in cache:
+    def _t_shift(self, y):
+        """sum t(m_2) S^-1(m_1) over the terms m of q_l Delta(e_y), or None
+        when it is zero; cached per basis y."""
+        cache = self._t_shifts
+        if y not in cache:
             A, H = self.A, self.H
             acc = TensorElement(H.n, 1)
             mid = A.mul(self.ce.q_l, H.delta(A.basis(y)))
@@ -584,8 +466,7 @@ class ReductionChecker:
                 if tv is not None:
                     acc = acc + H.S_inv(A.basis(y1)).scale(c * tv)
             cache[y] = acc if acc else None
-            got = cache[y]
-        return got
+        return cache[y]
 
 
 def verify_reduction(H, tr, sample_budget=200, seed=0, sides=("right", "left")):
@@ -599,20 +480,26 @@ def verify_reduction(H, tr, sample_budget=200, seed=0, sides=("right", "left")):
     and rhs_matrix).  Otherwise it evaluates both sides on a seeded sample
     of small-integer combinations.  Failures are report entries carrying
     the witness, the first failing a.
+
+    closed_reduction_defect is written for the right side and
+    ReductionChecker for the left one; each gets the other side on
+    H.coopposite().
     """
     report = Check("reduction")
     A = H.alg
     dim = H.dim
     for side in sides:
         c = report.add(Check(side))
+        Hr, Hl = ((H, H.coopposite()) if side == "right"
+                  else (H.coopposite(), H))
         first_bad = None
         for a in range(dim):
-            if closed_reduction_defect(H, tr.form, A.basis(a), side):
+            if closed_reduction_defect(Hr, tr.form, A.basis(a)):
                 first_bad = A.labels[a]
                 break
         c.check("closed-form condition", first_bad is None, witness=first_bad)
 
-        checker = ReductionChecker(H, tr.form, side)
+        checker = ReductionChecker(Hl, tr.form)
         first_bad = None
         if dim <= 16:
             label = "exhaustive over basis pairs"

@@ -81,15 +81,6 @@ class Representation:
     def act_basis(self, i, vec):
         return self.matrix(i).apply(vec)
 
-    def act_elem(self, x, vec):
-        out = {}
-        for (i,), c in x.coeffs.items():
-            for k, v in self.act_basis(i, vec).items():
-                cur = out.get(k)
-                s = c * v if cur is None else cur + c * v
-                out[k] = s
-        return {k: v for k, v in out.items() if v}
-
     def matrix_of_elem(self, x):
         m = SparseMatrix(self.H.n, self.dim, self.dim)
         for (i,), c in x.coeffs.items():
@@ -523,9 +514,6 @@ def _tensor_map(f, g):
             m.set(i1 * t2 + i2, j1 * s2 + j2, a * b)
     return ModuleMap(TensorRep(f.source, g.source),
                      TensorRep(f.target, g.target), m)
-
-
-tensor_map = _tensor_map
 
 
 def phi_psi(H, V):

@@ -36,12 +36,21 @@ class MaxNExceeded(QuasiHopfError):
     pass
 
 
+class BadSetting(QuasiHopfError):
+    exit_code = 2
+
+
 DEFAULT_MAX_N = 4
 MAX_N_ENV = "QUASIHOPF_MAX_N"
 
 
 def _max_n():
-    return int(os.environ.get(MAX_N_ENV, DEFAULT_MAX_N))
+    raw = os.environ.get(MAX_N_ENV, str(DEFAULT_MAX_N))
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadSetting(
+            f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
 
 
 def admissible_betas(N, n=8):

@@ -158,33 +158,3 @@ def test_contract_is_bilinear(d1, d2, c):
     lhs = f.contract(x + y.scale(Scalar.from_int(n, c)), (1,))
     rhs = f.contract(x, (1,)) + f.contract(y, (1,)).scale(Scalar.from_int(n, c))
     assert lhs == rhs
-
-
-def test_linear_operator_agrees_with_substitution():
-    from quasihopf.algcore import LinearOperator, apply_images_leg
-
-    H = q_fixture(1, 7).H
-    delta_op = LinearOperator.from_basis_images(H.dim, H.n, H.delta_images)
-    s_op = LinearOperator.from_basis_images(H.dim, H.n, H.antipode_images)
-    for i in (0, 3, 7, 12, 15):
-        b = H.basis(i)
-        assert delta_op.apply(b) == H.delta(b)
-        assert s_op.apply(b) == H.S(b)
-    # composition: S^2 as one operator
-    s2 = s_op.compose(s_op)
-    g = q_fixture(1, 7).elements["pivot"]
-    A = H.alg
-    for i in (1, 5, 9):
-        assert s2.apply(A.basis(i)) == A.mul_many(g, A.basis(i), g)
-
-
-def test_hook_dispatch():
-    H = z2()
-    f = LinearForm(H.n, 1, {(1,): Scalar.one(H.n)})
-    g = H.basis(1)
-    assert H.hook("h->f", g, f) == hit_form_right(H.alg, g, f)
-    assert H.hook("f<-h", f, g) == hit_form_left(H.alg, f, g)
-    assert H.hook("f->h", f, g) == g.scale(f.evaluate(g))
-    assert H.hook("h<-f", g, f) == g.scale(f.evaluate(g))
-    with pytest.raises(ValueError):
-        H.hook("sideways", f, g)

@@ -1,9 +1,9 @@
 import pytest
 
-from quasihopf import intcoint, qhspec
+from quasihopf import cli, intcoint, qha, qhspec
 from quasihopf.algcore import LinearForm
 from quasihopf.exactmath import Scalar
-from quasihopf.modtrace import from_symmetrised_cointegral
+from quasihopf.modtrace import from_symmetrised_cointegral, verify_reduction
 from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra
 
 from .helpers import (
@@ -109,7 +109,7 @@ def test_right_to_left_conversion():
     left = intcoint.cointegrals(H, "left")
     converted = intcoint.convert_right_to_left(H, co.form)
     assert proportional(converted, left.form)
-    back = intcoint.convert_left_to_right(H, left.form)
+    back = intcoint.convert_right_to_left(H.coopposite(), left.form)
     assert proportional(back, co.form)
 
 
@@ -223,6 +223,24 @@ def test_modulus_is_computed_once_per_algebra(monkeypatch):
     fresh = qhspec.to_algebra(qhspec.parse(text))
     assert intcoint.modulus(fresh).form == intcoint.modulus(H).form
     assert solves == ["left", "left"]
+
+
+def test_coopposite_is_built_once(monkeypatch):
+    text = qhspec.serialize(qhspec.from_algebra(q_fixture(1, 7).H))
+    built = []
+    derive = qha.derive_qp
+
+    def counting(H):
+        built.append(H)
+        return derive(H)
+
+    monkeypatch.setattr(qha, "derive_qp", counting)
+    H = qhspec.to_algebra(qhspec.parse(text))
+    assert H.coopposite() is H.coopposite()
+    assert verify_reduction(H, cli._build_trace(H)).passed
+    assert len(built) == 2
+    assert built[0] is not built[1]
+    assert {id(x) for x in built} == {id(H), id(H.coopposite())}
 
 
 @pytest.mark.parametrize("make", (sweedler, lambda: q_fixture(1, 7).H),

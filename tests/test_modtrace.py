@@ -10,6 +10,7 @@ from quasihopf.modtrace import (
     ModifiedTrace,
     NotSymmetrisedCointegral,
     NotUnimodular,
+    ProjectivePresentation,
     ReductionChecker,
     evaluate,
     from_symmetrised_cointegral,
@@ -17,7 +18,6 @@ from quasihopf.modtrace import (
     presentation_from_idempotent,
     symmetric_trace_space,
     tensor_presentation,
-    tensor_presentation_left,
     trivial_presentation,
     verify_reduction,
 )
@@ -38,6 +38,28 @@ from .helpers import cointegral_bundle, proportional, q_fixture, sweedler, z2, z
 
 def _trace_for(fx):
     return from_symmetrised_cointegral(fx.H, fx.symmetrised_cointegral)
+
+
+def _tensor_presentation_left(H, maps):
+    """Presentation of W (x) H through the left straightening maps: the
+    H-side reference for ReductionChecker, which computes the left side."""
+    _, _, phi_l, psi_l = maps
+    triv_reg = phi_l.source       # trivialized W (x) H
+    target = phi_l.target         # W (x) H
+    H_dim = H.dim
+    w_dim = triv_reg.dim // H_dim
+    reg = target.right
+    a_maps, b_maps = [], []
+    for j in range(w_dim):
+        inj = SparseMatrix(H.n, triv_reg.dim, H_dim)
+        for h in range(H_dim):
+            inj.set(j * H_dim + h, h, Scalar.one(H.n))
+        proj = SparseMatrix(H.n, H_dim, triv_reg.dim)
+        for h in range(H_dim):
+            proj.set(h, j * H_dim + h, Scalar.one(H.n))
+        a_maps.append(phi_l @ ModuleMap(reg, triv_reg, inj))
+        b_maps.append(ModuleMap(triv_reg, reg, proj) @ psi_l)
+    return ProjectivePresentation(target, a_maps, b_maps)
 
 
 def test_group_algebra_trace_values():
@@ -164,7 +186,9 @@ def test_reduction_mutation_fails_with_witness():
 
 
 def test_checker_agrees_with_matrix_composites():
-    """The staged evaluators match the literal module-map pipeline."""
+    """The staged evaluators match the literal module-map pipeline: the
+    checker on H against H's left maps, and on H^cop against H's right
+    ones."""
     fx = q_fixture(1, 7)
     H = fx.H
     A = H.alg
@@ -172,9 +196,9 @@ def test_checker_agrees_with_matrix_composites():
     reg = regular_module(H)
     maps = phi_psi(H, reg)
     tp_r = tensor_presentation(H, maps)
-    tp_l = tensor_presentation_left(H, maps)
-    ck_r = ReductionChecker(H, tr.form, "right")
-    ck_l = ReductionChecker(H, tr.form, "left")
+    tp_l = _tensor_presentation_left(H, maps)
+    ck_r = ReductionChecker(H.coopposite(), tr.form)
+    ck_l = ReductionChecker(H, tr.form)
     rng = random.Random(5)
     for _ in range(5):
         a = A.basis(rng.randrange(16))
@@ -197,8 +221,8 @@ def test_extracted_matrices_match_both_sides_on_every_basis_pair():
     H = fx.H
     tr = _trace_for(fx)
     one, zero = Scalar.one(H.n), Scalar.zero(H.n)
-    for side in ("right", "left"):
-        ck = ReductionChecker(H, tr.form, side)
+    for Hq in (H.coopposite(), H):
+        ck = ReductionChecker(Hq, tr.form)
         nonzero = 0
         for a in range(H.dim):
             a_elem = H.alg.basis(a)

@@ -1,8 +1,11 @@
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quasihopf import cli, qhspec
 from quasihopf.qha import check_axioms
@@ -177,6 +180,36 @@ def test_cli_reports_are_deterministic(q1_spec):
     assert runs[0] == runs[1]
 
 
+def _run_usage_error(argv):
+    """Run the CLI on arguments argparse must reject: (exit code, stderr)."""
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("budget", ["0", "-1", "many"])
+def test_cli_rejects_a_non_positive_budget(z2_spec, command, budget):
+    code, err = _run_usage_error([command, z2_spec, "--budget", budget])
+    assert code == 2
+    assert "error: argument --budget: must be a positive integer" in err
+
+
+def test_cli_sympferm_rejects_a_non_positive_n():
+    code, err = _run_usage_error(["sympferm", "--n", "0", "--beta", "1"])
+    assert code == 2
+    assert "error: argument --n: must be a positive integer" in err
+
+
+def test_cli_sympferm_bad_max_n_setting(monkeypatch):
+    monkeypatch.setenv("QUASIHOPF_MAX_N", "abc")
+    code, out, err = _run(["sympferm", "--n", "1", "--beta", "z8^7"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "QUASIHOPF_MAX_N" in err
+
+
 def test_cli_sympferm_bad_beta_exit():
     code, _, err = _run(["sympferm", "--n", "1", "--beta", "z8^2"])
     assert code == 3
@@ -311,3 +344,49 @@ def test_cli_closed_stdout_exits_1():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# tokens a mutation may put in place of a spec token: indices in and out of
+# range, scalars of other fields, malformed scalars, keywords and junk
+_MUTATION_TOKENS = ("0", "1", "2", "3", "5", "-1", "1/2", "1/0", "0/3", "z8",
+                    "z4^3", "z3", "-z4", "abc", "", "#", "mul", "basis",
+                    "field", "twist")
+
+
+@st.composite
+def _mutated_spec(draw):
+    lines = _shipped(draw(st.sampled_from(
+        ("z2.qhs", "z4.qhs", "sweedler.qhs")))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("token", "delete", "duplicate", "swap")))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "token":
+            toks = lines[i].split()
+            if toks:
+                toks[draw(st.integers(0, len(toks) - 1))] = draw(
+                    st.sampled_from(_MUTATION_TOKENS))
+                lines[i] = " ".join(toks)
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_spec(),
+       command=st.sampled_from(("check", "integrals", "cointegrals",
+                                "modtrace")))
+def test_cli_mutated_specs_exit_cleanly(text, command):
+    """A mutated spec ends in a documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.qhs")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, _, err = _run([command, path])
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err

@@ -16,7 +16,6 @@ from quasihopf.repcat import (
     phi_psi,
     regular_module,
     tensor,
-    tensor_map,
     trivial_module,
     unit_elim_left,
     unit_elim_right,
@@ -85,9 +84,9 @@ def test_pentagon_as_module_maps():
     # (assoc (x) 1) . assoc . (1 (x) assoc) = assoc . assoc on V^(x4)
     idV = ModuleMap.identity(V)
     a_vvv = associator(V, V, V)
-    lhs = tensor_map(a_vvv, idV) \
+    lhs = repcat._tensor_map(a_vvv, idV) \
         @ associator(V, tensor(V, V), V) \
-        @ tensor_map(idV, a_vvv)
+        @ repcat._tensor_map(idV, a_vvv)
     rhs = associator(tensor(V, V), V, V) @ associator(V, V, tensor(V, V))
     assert lhs.matrix == rhs.matrix
 
@@ -111,13 +110,13 @@ def test_zig_zags():
         reg = regular_module(H)
         d = DualityData(reg)
         idV = ModuleMap.identity(reg)
-        left_zz = unit_elim_right(reg) @ tensor_map(idV, d.ev_left) \
+        left_zz = unit_elim_right(reg) @ repcat._tensor_map(idV, d.ev_left) \
             @ associator_inv(reg, d.dual, reg) \
-            @ tensor_map(d.coev_left, idV) @ unit_intro_left(reg)
+            @ repcat._tensor_map(d.coev_left, idV) @ unit_intro_left(reg)
         assert left_zz.matrix == SparseMatrix.identity(H.n, dim)
-        right_zz = unit_elim_left(reg) @ tensor_map(d.ev_right, idV) \
+        right_zz = unit_elim_left(reg) @ repcat._tensor_map(d.ev_right, idV) \
             @ associator(reg, d.dual, reg) \
-            @ tensor_map(idV, d.coev_right) @ unit_intro_right(reg)
+            @ repcat._tensor_map(idV, d.coev_right) @ unit_intro_right(reg)
         assert right_zz.matrix == SparseMatrix.identity(H.n, dim)
 
 
@@ -151,7 +150,7 @@ def test_double_dual_is_monoidal():
         assert gamma.is_intertwiner()
         gamma_duals = _gamma_map(H, dw.dual, dv.dual)
         lhs = dual_map(gamma) @ dvw.double_dual
-        rhs = gamma_duals @ tensor_map(dv.double_dual, dw.double_dual)
+        rhs = gamma_duals @ repcat._tensor_map(dv.double_dual, dw.double_dual)
         assert lhs.matrix == rhs.matrix
 
 
@@ -194,7 +193,7 @@ def test_partial_trace_cyclicity_in_traced_slot():
         return ModuleMap(hh, hh, acc)
 
     u_mat = reg.matrix_of_elem(H.basis(1) + H.basis(3))
-    one_u = tensor_map(ModuleMap.identity(reg),
+    one_u = repcat._tensor_map(ModuleMap.identity(reg),
                        ModuleMap(reg, reg, u_mat))
     # 1 (x) u is H-linear because u acts by central elements here
     assert one_u.is_intertwiner()
