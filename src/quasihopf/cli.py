@@ -13,9 +13,11 @@ Subcommands:
     verify <spec> --suite ...            reduction / pairing property suites
 
 Exit codes: 0 success; 1 output closed early; 2 parse error or bad argument
-or setting; 3 axiom or precondition failure; 4 verification failure.  All
-sampling is controlled by --seed/--budget, and reports are byte-identical
-across runs with equal inputs and seeds.
+or setting; 3 axiom or precondition failure; 4 verification failure.  Every
+check is exhaustive except verify's reduction check above dim 16, which
+samples --budget (default 200) cases seeded by --seed; these two options
+belong to verify alone.  Reports are byte-identical across runs with equal
+inputs and seeds.
 """
 
 import argparse
@@ -63,8 +65,7 @@ def _form_report(name, form, labels):
 
 def cmd_check(args):
     doc, H = _load(args.spec)
-    rep = check_axioms(H, pair_budget=args.budget, triple_budget=args.budget,
-                       seed=args.seed)
+    rep = check_axioms(H)
     _emit(rep, args.json)
     return EXIT_OK if rep.passed else EXIT_AXIOM
 
@@ -136,8 +137,7 @@ def cmd_sympferm(args):
     fx = sympferm.build(args.n, beta)
     H = fx.H
     rep = Check(f"sympferm n={args.n} beta={args.beta}")
-    axioms = check_axioms(H, pair_budget=args.budget,
-                          triple_budget=args.budget, seed=args.seed)
+    axioms = check_axioms(H)
     rep.check("axioms", axioms.passed)
     left = intcoint.integrals(H, "left")
     rep.check("integral matches closed form",
@@ -206,9 +206,6 @@ def main(argv=None):
             p.add_argument("spec", help="structure-constant file")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=_positive_int, default=None,
-                       help="sample budget for large-dimension checks")
 
     p = sub.add_parser("check", help="verify the quasi-Hopf axioms")
     common(p)
@@ -243,11 +240,12 @@ def main(argv=None):
     common(p)
     p.add_argument("--suite", choices=("reduction", "pairing", "all"),
                    default="all")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_positive_int, default=200,
+                   help="sample budget of the reduction check above dim 16")
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None and args.command == "verify":
-        args.budget = 200
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit

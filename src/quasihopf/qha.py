@@ -16,12 +16,12 @@ symplectic-fermion fixtures, which are the nontrivial test of the
 convention).  The Drinfeld twist is required input for pivotal data and is
 verified, never derived.
 
-Everything is immutable after construction; checks are pure and
-deterministic given a seed.
+Everything is immutable after construction; checks are pure, exhaustive
+and deterministic.
 """
 
-import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from quasihopf.algcore import (
     AlgebraData,
@@ -31,7 +31,7 @@ from quasihopf.algcore import (
     hit_elem_left,
     hit_elem_right,
 )
-from quasihopf.exactmath import Scalar, solve_unique
+from quasihopf.exactmath import RowReducer, Scalar, solve_unique
 from quasihopf.report import Check
 
 
@@ -319,102 +319,122 @@ def derive_UVu(H, gamma):
 # -- axiom checking -----------------------------------------------------------
 
 
-def _pair_sample(dim, budget, seed):
-    if budget is None or budget >= dim * dim:
-        return ((i, j) for i in range(dim) for j in range(dim))
-    rng = random.Random(seed)
-    return ((rng.randrange(dim), rng.randrange(dim)) for _ in range(budget))
+def _generating_set(A):
+    """Basis indices G such that 1 and the left-normed words in G span A.
+
+    The basis is scanned in order; e_i joins G when it is not yet in the
+    span, and the span is then closed again under right multiplication by
+    G.  Every basis element ends up in the span, so the rank reaches dim.
+    """
+    span = RowReducer(A.n, A.dim)
+    gens = []
+    words = []     # left-normed words whose rows raised the rank
+    todo = []      # (word, generator) products not yet absorbed
+
+    def absorb(x):
+        if not span.add_row({i: c for (i,), c in x.coeffs.items()}):
+            return False
+        words.append(x)
+        todo.extend((x, g) for g in gens)
+        return True
+
+    absorb(A.unit)
+    for i in range(A.dim):
+        if absorb(A.basis(i)):
+            gens.append(i)
+            todo.extend((w, i) for w in words)
+            while todo:
+                w, g = todo.pop()
+                absorb(A.mul(w, A.basis(g)))
+    return gens
 
 
-def _triple_sample(dim, budget, seed):
-    if budget is None or budget >= dim ** 3:
-        return ((i, j, k) for i in range(dim) for j in range(dim)
-                for k in range(dim))
-    rng = random.Random(seed)
-    return ((rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(budget))
+def _check_every(report, labels, name, cases, holds):
+    """One entry: holds(*case) on every case, a tuple of basis indices; a
+    failure names the first offending case."""
+    for case in cases:
+        if not holds(*case):
+            names = [labels[i] for i in case]
+            bad = names[0] if len(names) == 1 else f"({', '.join(names)})"
+            report.check(name, False, witness=bad)
+            return
+    report.check(name, True)
 
 
-def check_axioms(H, *, pair_budget=None, triple_budget=None, seed=0):
-    """Full axiom report; failures carry the first offending basis tuple.
+def check_axioms(H, *, pair_budget=None, triple_budget=None, seed=None):
+    """Full axiom report, exhaustive; failures carry the first offending
+    basis tuple.
 
-    Per-basis axioms are always exhaustive.  Pair-indexed axioms are
-    exhaustive for dim <= 64, triple-indexed ones for dim <= 16; beyond
-    that they run on a seeded deterministic sample (96 pairs / 2048
-    triples by default).  Budgets can be set explicitly; None means the
-    automatic policy.
+    G is _generating_set(H.alg).  Each identity is checked on the smallest
+    set that proves it everywhere, given that the entries it relies on pass:
+
+    - unit law, S inverse: on every basis element (no closure argument).
+    - associativity: (x g) z = x (g z) for g in G, all basis x, z.  By
+      Teichmueller's identity (wx,y,z) - (w,xy,z) + (w,x,yz) = w(x,y,z) +
+      (w,x,y)z the middle nucleus is closed under products; it holds 1 and
+      G, so it is all of A.
+    - eps, Delta multiplicative, S anti-multiplicative: on G x basis.  The
+      first arguments h for which the identity holds for every second one
+      are closed under products and contain 1 (eps(1) = 1, Delta(1) = 1 (x)
+      1, S(1) = 1).
+    - counit law for Delta: on G; both sides are algebra maps.
+    - quasi-coassociativity: on G; conjugation by Phi and the two iterated
+      coproducts are algebra maps.
+    - zig-zag with alpha and beta: on G; S((hk)_1) alpha (hk)_2 = S(k_1)
+      S(h_1) alpha h_2 k_2, so the solutions are closed under products.
+    - S^2 = conjugation by g: on G; both sides are algebra maps.
+    - twist identity: on G; both sides are anti-algebra maps.
+
+    pair_budget, triple_budget and seed are accepted and ignored: the
+    benchmark's axioms-q2 workload still passes them, and a TypeError there
+    would end its run instead of being counted as a failed operation.
     """
     A = H.alg
     dim = H.dim
-    report = Check("axioms")
     lab = A.labels
+    report = Check("axioms")
+    gens = _generating_set(A)
+    e = [A.basis(i) for i in range(dim)]
+    delta = [H.delta(b) for b in e]
+    S = [H.S(b) for b in e]
+    basis = [(i,) for i in range(dim)]
+    on_gens = [(g,) for g in gens]
+    gen_pairs = [(g, y) for g in gens for y in range(dim)]
 
-    if pair_budget is None and dim > 64:
-        pair_budget = 96
-    if triple_budget is None and dim > 16:
-        triple_budget = 2048
+    @lru_cache(maxsize=None)
+    def prod(i, j):
+        return A.mul(e[i], e[j])
 
     # algebra layer
     c = report.add(Check("algebra"))
-    first_bad = None
-    for i in range(dim):
-        b = A.basis(i)
-        if A.mul(A.unit, b) != b or A.mul(b, A.unit) != b:
-            first_bad = lab[i]
-            break
-    c.check("unit law", first_bad is None, witness=first_bad)
-    first_bad = None
-    for (i, j, k) in _triple_sample(dim, triple_budget, seed):
-        ij = A.mul(A.basis(i), A.basis(j))
-        jk = A.mul(A.basis(j), A.basis(k))
-        if A.mul(ij, A.basis(k)) != A.mul(A.basis(i), jk):
-            first_bad = f"({lab[i]}, {lab[j]}, {lab[k]})"
-            break
-    c.check("associativity", first_bad is None, witness=first_bad)
+    _check_every(c, lab, "unit law", basis,
+                 lambda i: A.mul(A.unit, e[i]) == e[i] == A.mul(e[i], A.unit))
+    _check_every(c, lab, "associativity",
+                 ((x, g, z) for g in gens
+                  for x in range(dim) for z in range(dim)),
+                 lambda x, g, z: A.mul(prod(x, g), e[z])
+                 == A.mul(e[x], prod(g, z)))
 
     # counit
     c = report.add(Check("counit"))
     c.check("eps(1) = 1", H.eps(A.unit).is_one())
-    first_bad = None
-    for i in range(dim):
-        for j in range(dim):
-            lhs = H.eps(A.mul(A.basis(i), A.basis(j)))
-            if lhs != H.eps(A.basis(i)) * H.eps(A.basis(j)):
-                first_bad = f"({lab[i]}, {lab[j]})"
-                break
-        if first_bad:
-            break
-    c.check("multiplicative", first_bad is None, witness=first_bad)
-    first_bad = None
-    for i in range(dim):
-        d = H.delta(A.basis(i))
-        if H.eps_leg(d, 0) != A.basis(i) or H.eps_leg(d, 1) != A.basis(i):
-            first_bad = lab[i]
-            break
-    c.check("counit law for Delta", first_bad is None, witness=first_bad)
+    _check_every(c, lab, "multiplicative", gen_pairs,
+                 lambda g, y: H.eps(prod(g, y)) == H.eps(e[g]) * H.eps(e[y]))
+    _check_every(c, lab, "counit law for Delta", on_gens,
+                 lambda i: H.eps_leg(delta[i], 0) == e[i]
+                 == H.eps_leg(delta[i], 1))
     c.check("eps(alpha) = 1", H.eps(H.alpha).is_one())
     c.check("eps(beta) = 1", H.eps(H.beta).is_one())
 
     # coproduct
     c = report.add(Check("coproduct"))
     c.check("Delta(1) = 1 (x) 1", H.delta(A.unit) == A.unit_tensor(2))
-    first_bad = None
-    for (i, j) in _pair_sample(dim, pair_budget, seed):
-        if H.delta(A.mul(A.basis(i), A.basis(j))) != \
-                A.mul(H.delta(A.basis(i)), H.delta(A.basis(j))):
-            first_bad = f"({lab[i]}, {lab[j]})"
-            break
-    c.check("multiplicative", first_bad is None, witness=first_bad)
+    _check_every(c, lab, "multiplicative", gen_pairs,
+                 lambda g, y: H.delta(prod(g, y)) == A.mul(delta[g], delta[y]))
     phi, psi = H.coassociator, H.coassociator_inv
-    first_bad = None
-    for i in range(dim):
-        d = H.delta(A.basis(i))
-        lhs = A.mul(H.delta_leg(d, 0), phi)
-        rhs = A.mul(phi, H.delta_leg(d, 1))
-        if lhs != rhs:
-            first_bad = lab[i]
-            break
-    c.check("quasi-coassociativity", first_bad is None, witness=first_bad)
+    _check_every(c, lab, "quasi-coassociativity", on_gens,
+                 lambda i: A.mul(H.delta_leg(delta[i], 0), phi)
+                 == A.mul(phi, H.delta_leg(delta[i], 1)))
 
     # coassociator
     c = report.add(Check("coassociator"))
@@ -432,56 +452,40 @@ def check_axioms(H, *, pair_budget=None, triple_budget=None, seed=0):
     # antipode
     c = report.add(Check("antipode"))
     c.check("S(1) = 1", H.S(A.unit) == A.unit)
-    first_bad = None
-    for i in range(dim):
-        b = A.basis(i)
-        if H.S(H.S_inv(b)) != b or H.S_inv(H.S(b)) != b:
-            first_bad = lab[i]
-            break
-    c.check("S inverse", first_bad is None, witness=first_bad)
-    first_bad = None
-    for (i, j) in _pair_sample(dim, pair_budget, seed + 1):
-        lhs = H.S(A.mul(A.basis(i), A.basis(j)))
-        rhs = A.mul(H.S(A.basis(j)), H.S(A.basis(i)))
-        if lhs != rhs:
-            first_bad = f"({lab[i]}, {lab[j]})"
-            break
-    c.check("anti-multiplicative", first_bad is None, witness=first_bad)
-    first_bad = None
-    for i in range(dim):
-        b = A.basis(i)
-        d = H.delta(b)
+    _check_every(c, lab, "S inverse", basis,
+                 lambda i: H.S_inv(S[i]) == e[i] == H.S(H.S_inv(e[i])))
+    _check_every(c, lab, "anti-multiplicative", gen_pairs,
+                 lambda g, y: H.S(prod(g, y)) == A.mul(S[y], S[g]))
+
+    def zig_zag(i):
         acc_a = TensorElement(H.n, 1)
         acc_b = TensorElement(H.n, 1)
-        for (x, y), coef in d.coeffs.items():
-            acc_a = acc_a + A.mul_many(H.S(A.basis(x)), H.alpha,
-                                       A.basis(y)).scale(coef)
-            acc_b = acc_b + A.mul_many(A.basis(x), H.beta,
-                                       H.S(A.basis(y))).scale(coef)
-        if acc_a != H.alpha.scale(H.eps(b)) or acc_b != H.beta.scale(H.eps(b)):
-            first_bad = lab[i]
-            break
-    c.check("zig-zag with alpha and beta", first_bad is None, witness=first_bad)
+        for (x, y), coef in delta[i].coeffs.items():
+            acc_a = acc_a + A.mul_many(S[x], H.alpha, e[y]).scale(coef)
+            acc_b = acc_b + A.mul_many(e[x], H.beta, S[y]).scale(coef)
+        eps = H.eps(e[i])
+        return acc_a == H.alpha.scale(eps) and acc_b == H.beta.scale(eps)
+
+    _check_every(c, lab, "zig-zag with alpha and beta", on_gens, zig_zag)
     got = TensorElement(H.n, 1)
     for (a, b, cc), coef in psi.items_sorted():
-        got = got + A.mul_many(A.basis(a), H.beta, H.S(A.basis(b)),
-                               H.alpha, A.basis(cc)).scale(coef)
+        got = got + A.mul_many(e[a], H.beta, S[b], H.alpha, e[cc]).scale(coef)
     c.check("coassociator zig-zag (Psi side)", got == A.unit)
     got = TensorElement(H.n, 1)
     for (a, b, cc), coef in phi.items_sorted():
-        got = got + A.mul_many(H.S(A.basis(a)), H.alpha, A.basis(b),
-                               H.beta, H.S(A.basis(cc))).scale(coef)
+        got = got + A.mul_many(S[a], H.alpha, e[b], H.beta, S[cc]).scale(coef)
     c.check("coassociator zig-zag (Phi side)", got == A.unit)
 
     if H.pivotal is not None:
-        report.add(check_pivotal(H, pair_budget=pair_budget, seed=seed))
+        report.add(check_pivotal(H, gens))
     return report
 
 
-def check_pivotal(H, *, pair_budget=None, seed=0):
+def check_pivotal(H, gens):
+    """The pivotal entries; the per-element ones run on the generating set
+    gens (see check_axioms for why that suffices)."""
     A = H.alg
     p = H.pivotal
-    lab = A.labels
     c = Check("pivotal")
     g, gi = p.pivot, p.pivot_inv
     f, fi = p.twist, p.twist_inv
@@ -496,21 +500,12 @@ def check_pivotal(H, *, pair_budget=None, seed=0):
     s_f21 = H.S_leg(H.S_leg(flip(f, (2, 1)), 0), 1)
     c.check("Delta(g) twisted by f",
             H.delta(g) == A.mul_many(fi, s_f21, g.tensor(g)))
-    first_bad = None
-    for i in range(H.dim):
-        b = A.basis(i)
-        if H.S(H.S(b)) != A.mul_many(g, b, gi):
-            first_bad = lab[i]
-            break
-    c.check("S^2 = conjugation by g", first_bad is None, witness=first_bad)
-    first_bad = None
-    for i in range(H.dim):
-        b = A.basis(i)
-        lhs = A.mul_many(f, H.delta(H.S(b)), fi)
-        rhs = H.S_leg(H.S_leg(flip(H.delta(b), (2, 1)), 0), 1)
-        if lhs != rhs:
-            first_bad = lab[i]
-            break
-    c.check("twist intertwines Delta S and (S (x) S) Delta^cop",
-            first_bad is None, witness=first_bad)
+    on_gens = [(i,) for i in gens]
+    e = A.basis
+    _check_every(c, A.labels, "S^2 = conjugation by g", on_gens,
+                 lambda i: H.S(H.S(e(i))) == A.mul_many(g, e(i), gi))
+    _check_every(c, A.labels,
+                 "twist intertwines Delta S and (S (x) S) Delta^cop", on_gens,
+                 lambda i: A.mul_many(f, H.delta(H.S(e(i))), fi)
+                 == H.S_leg(H.S_leg(flip(H.delta(e(i)), (2, 1)), 0), 1))
     return c

@@ -1,11 +1,12 @@
 import pytest
 
-from quasihopf.algcore import flip
-from quasihopf.exactmath import Scalar
+from quasihopf.algcore import AlgebraData, LinearForm, flip
+from quasihopf.exactmath import RowReducer, Scalar
 from quasihopf.qha import (
     AxiomViolation,
     MissingPivotalData,
     QuasiHopfAlgebra,
+    _generating_set,
     check_axioms,
     check_qp_coproduct_relations,
     derive_UVu,
@@ -38,6 +39,88 @@ def test_mutated_coassociator_is_localized():
     qc = rep.find("quasi-coassociativity")
     assert not qc.passed
     assert qc.witness is not None  # names the offending basis element
+
+
+def _replace(H, **data):
+    """H with some of its constructor arguments replaced."""
+    args = dict(alg=H.alg, delta=H.delta_images, counit=H.counit,
+                antipode=H.antipode_images, antipode_inv=H.antipode_inv_images,
+                coassociator=H.coassociator,
+                coassociator_inv=H.coassociator_inv,
+                alpha=H.alpha, beta=H.beta, pivotal=H.pivotal)
+    args.update(data)
+    return QuasiHopfAlgebra(**args)
+
+
+def _word_span_rank(A, gens):
+    """Rank of the span of 1 and every left-normed word in gens, grown one
+    word length at a time until a length adds nothing."""
+    span = RowReducer(A.n, A.dim)
+    level = [A.unit]
+    span.add_row({i: c for (i,), c in A.unit.coeffs.items()})
+    while level:
+        longer = [A.mul(w, A.basis(g)) for w in level for g in gens]
+        level = [w for w in longer
+                 if span.add_row({i: c for (i,), c in w.coeffs.items()})]
+    return span.rank
+
+
+GENERATED = {
+    "Q(1)": (lambda: q_fixture(1, 7).H, ["K", "f1-", "f1+"]),
+    "Q(2)": (lambda: q_fixture(2, 6).H, ["K", "f1-", "f2-", "f1+", "f2+"]),
+    "Q(3)": (lambda: q_fixture(3, 5).H,
+             ["K", "f1-", "f2-", "f3-", "f1+", "f2+", "f3+"]),
+    "Z4": (z4, ["g"]),
+    "Sweedler": (sweedler, ["g", "x"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generating_set(name):
+    build, expected = GENERATED[name]
+    A = build().alg
+    gens = _generating_set(A)
+    assert [A.labels[i] for i in gens] == expected
+    assert _word_span_rank(A, gens) == A.dim
+
+
+def test_q3_cell_flip_fails_associativity():
+    H = q_fixture(3, 1).H
+    A = H.alg
+    i, j = A.labels.index("f3+"), A.labels.index("f3-")
+    table = dict(A.table)
+    table[(i, j)] = {k: -v for k, v in table[(i, j)].items()}
+    flipped = AlgebraData(A.n, A.dim, A.labels, A.unit, table)
+    rep = check_axioms(_replace(H, alg=flipped))
+    assoc = rep.find("associativity")
+    assert not assoc.passed
+    assert assoc.witness is not None
+
+
+@pytest.mark.parametrize("layer", ["counit", "coproduct", "antipode"])
+def test_corrupted_non_generator_fails_its_multiplicative_entry(layer):
+    H = q_fixture(1, 7).H
+    k = H.alg.labels.index("K2")
+    assert k not in _generating_set(H.alg)
+    if layer == "counit":
+        coeffs = dict(H.counit.coeffs)
+        coeffs[(k,)] = -coeffs[(k,)]
+        broken = _replace(H, counit=LinearForm(H.n, 1, coeffs))
+        entry = "multiplicative"
+    elif layer == "coproduct":
+        delta = list(H.delta_images)
+        delta[k] = -delta[k]
+        broken = _replace(H, delta=delta)
+        entry = "multiplicative"
+    else:
+        antipode = list(H.antipode_images)
+        antipode[k] = -antipode[k]
+        broken = _replace(H, antipode=antipode)
+        entry = "anti-multiplicative"
+    rep = check_axioms(broken)
+    got = rep.find(layer).find(entry)
+    assert not got.passed
+    assert got.witness is not None
 
 
 def test_qp_trivial_for_group_algebra():

@@ -188,12 +188,23 @@ def _run_usage_error(argv):
     return exc.value.code, err.getvalue()
 
 
-@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("budget", ["0", "-1", "many"])
 def test_cli_rejects_a_non_positive_budget(z2_spec, command, budget):
     code, err = _run_usage_error([command, z2_spec, "--budget", budget])
     assert code == 2
     assert "error: argument --budget: must be a positive integer" in err
+
+
+@pytest.mark.parametrize("option", ["--seed", "--budget"])
+@pytest.mark.parametrize("command", [
+    "check", "integrals", "cointegrals", "modtrace", "sympferm"])
+def test_cli_sampling_options_belong_to_verify(z2_spec, command, option):
+    argv = ([command, "--n", "1", "--beta", "z8^7"] if command == "sympferm"
+            else [command, z2_spec])
+    code, err = _run_usage_error(argv + [option, "5"])
+    assert code == 2
+    assert f"error: unrecognized arguments: {option} 5" in err
 
 
 def test_cli_sympferm_rejects_a_non_positive_n():
