@@ -14,10 +14,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 output closed early; 2 parse error or bad argument
 or setting; 3 axiom or precondition failure; 4 verification failure.  Every
-check is exhaustive except verify's reduction check above dim 16, which
-samples --budget (default 200) cases seeded by --seed; these two options
-belong to verify alone.  Reports are byte-identical across runs with equal
-inputs and seeds.
+check is exhaustive.  Reports are byte-identical across runs with equal
+inputs.
 """
 
 import argparse
@@ -171,8 +169,7 @@ def cmd_verify(args):
     tr = _build_trace(H)
     rep = Check("verify")
     if args.suite in ("reduction", "all"):
-        rep.add(modtrace.verify_reduction(H, tr, sample_budget=args.budget,
-                                          seed=args.seed))
+        rep.add(modtrace.verify_reduction(H, tr))
     if args.suite in ("pairing", "all"):
         reg = regular_module(H)
         pres = modtrace.trivial_presentation(H, reg)
@@ -240,9 +237,6 @@ def main(argv=None):
     common(p)
     p.add_argument("--suite", choices=("reduction", "pairing", "all"),
                    default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_positive_int, default=200,
-                   help="sample budget of the reduction check above dim 16")
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -24,7 +24,7 @@ This module provides:
   * the construction of the trace from a symmetrised cointegral (refusing
     non-unimodular input),
   * presentation-based evaluation on arbitrary projectives,
-  * an exhaustive/sampled verifier of the partial-trace reduction
+  * an exhaustive verifier of the partial-trace reduction
     t_{H (x) W}(f) = t_H(tr_r(f)) over f = Xi(a (x) m), with the two sides
     computed through genuinely different code paths (presentation sums
     versus the categorical trace composite).  Both sides are linear in m,
@@ -36,7 +36,6 @@ This module provides:
     reduction condition, used to cross-validate the cointegral solver.
 """
 
-import random
 from dataclasses import dataclass, field
 
 from quasihopf.algcore import LinearForm, TensorElement
@@ -253,8 +252,9 @@ class ReductionChecker:
     The left-hand side goes through the presentation sum over the
     straightening maps; the right-hand side walks the literal partial-trace
     composite (coevaluation, associator, the map, inverse associator,
-    pivotal evaluation) stage by stage on sparse vectors, with fixture-level
-    caches.  W is the left regular module.
+    pivotal evaluation): the stages before the map are applied to 1 once,
+    and the stages after it are folded into one element Y_x per basis x.
+    W is the left regular module.
 
     Both sides are linear in m: lhs_matrix(a) and rhs_matrix(a) give the
     coefficient matrices M with side(a, m) = sum m[r2, r] M[r2, r], keyed
@@ -269,7 +269,6 @@ class ReductionChecker:
         self.p = H.require_pivotal()
         A = self.A
         dim = H.dim
-        self._phipost = {}
         self._sandwich_col = {}
         self._t_shifts = {}
 
@@ -318,6 +317,31 @@ class ReductionChecker:
                     tvec[b] = val
             if tvec:
                 self.post_terms.append((k, tvec, z))
+        # the tail of the composite (outgoing straightening map, inverse
+        # associator, pivotal evaluation, t), folded: Z_u = sum k tvec[u] z
+        # and Y_x = sum c Z_u e_w over the terms (w, u) of Delta(e_x) p_l
+        zs = {}
+        for k, tvec, z in self.post_terms:
+            for u, tv in tvec.items():
+                zs[u] = zs[u] + z.scale(k * tv) if u in zs else z.scale(k * tv)
+        y_rows = {}   # rows of left multiplication by Y_x, keyed by d
+        for x in range(dim):
+            y = TensorElement(H.n, 1)
+            mid = A.mul(H.delta(A.basis(x)), self.ce.p_l)
+            for (w, u), c in mid.coeffs.items():
+                if u in zs:
+                    y = y + A.mul(zs[u], A.basis(w)).scale(c)
+            if y:
+                y_rows[x] = _rows_by_output(A.left_mult_matrix(y))
+        # the composite with the map m left open:
+        # tails[x][x2][(r2, r)] = sum_d v1s[(x, r, d)] (Y_x2 e_r2)_d
+        self._tails = {}
+        for (x, r, d), val in self.v1s.items():
+            for x2, rows in y_rows.items():
+                mat = self._tails.setdefault(x, {}).setdefault(x2, {})
+                for r2, pv in rows.get(d, ()):
+                    cur = mat.get((r2, r))
+                    mat[(r2, r)] = val * pv if cur is None else cur + val * pv
 
     def _sandwich(self, a, c):
         """One column of the inverse straightening psi_l(e_c (x) e_a), with
@@ -348,91 +372,28 @@ class ReductionChecker:
                 out[key] = val * cv if cur is None else cur + val * cv
         return {k: v for k, v in out.items() if v}
 
-    def _phipost_at(self, x, y):
-        """Fold of the outgoing straightening map with the tail of the
-        composite (inverse associator, pivotal evaluation, t)."""
-        key = (x, y)
-        got = self._phipost.get(key)
-        if got is not None:
-            return got
-        A, H = self.A, self.H
-        out = {}
-        mid = A.mul(H.delta(A.basis(x)), self.ce.p_l)
-        for (w, u), c in mid.coeffs.items():
-            w_act = A.mul(A.basis(w), A.basis(y))
-            for (w2,), c2 in w_act.coeffs.items():
-                for k, tvec, z in self.post_terms:
-                    tv = tvec.get(u)
-                    if tv is None:
-                        continue
-                    zc = A.mul(z, A.basis(w2))
-                    for (dd,), zv in zc.coeffs.items():
-                        wgt = c * c2 * k * tv * zv
-                        cur = out.get(dd)
-                        out[dd] = wgt if cur is None else cur + wgt
-        out = {k: v for k, v in out.items() if v}
-        self._phipost[key] = out
-        return out
-
-    def rhs(self, a_elem, m):
-        """t_H applied to the partial trace of Xi(a (x) m), via the composite."""
-        A = self.A
-        mcols = {}
-        for (r2, r), v in m.entries.items():
-            mcols.setdefault(r, []).append((r2, v))
-        v2 = {}
-        for (x, r, d), val in self.v1s.items():
-            cols = mcols.get(r)
-            if not cols:
-                continue
-            xa = A.mul(A.basis(x), a_elem)
-            for (x2,), c2 in xa.coeffs.items():
-                for r2, mv in cols:
-                    key = (x2, r2, d)
-                    w = val * c2 * mv
-                    cur = v2.get(key)
-                    s = w if cur is None else cur + w
-                    v2[key] = s
-        total = Scalar.zero(self.H.n)
-        for (x, y, d), val in v2.items():
-            if not val:
-                continue
-            post = self._phipost_at(x, y)
-            pv = post.get(d)
-            if pv is not None:
-                total = total + val * pv
-        return total
-
     def rhs_matrix(self, a_elem):
-        """The coefficient matrix of rhs(a_elem, .), from one pass over the
-        folded tail of the composite."""
+        """The coefficient matrix of the composite side at a, the sum of
+        (e_x a)_x2 tails[x][x2]: entry (r2, r) is the sum over (x, r, d) in
+        v1s of val sum_x2 (e_x a)_x2 (Y_x2 e_r2)_d.
+
+        Stage by stage the tail gives sum c (Z_u (e_w e_r2))_d there; that
+        Z_u (e_w e_y) = (Z_u e_w) e_y is associativity, which check_axioms
+        proves.
+        """
         A, n, dim = self.A, self.H.n, self.H.dim
-        # u[x2][(r, d)]: the stage vector v1s times right multiplication by
-        # a, before m acts on the W leg r
-        u = {}
-        for (x, r, d), val in self.v1s.items():
-            for (x2,), c2 in A.mul(A.basis(x), a_elem).coeffs.items():
-                terms = u.setdefault(x2, {})
-                cur = terms.get((r, d))
-                terms[(r, d)] = val * c2 if cur is None else cur + val * c2
         out = {}
-        for x2, terms in u.items():
-            for r2 in range(dim):
-                post = self._phipost_at(x2, r2)
-                if not post:
-                    continue
-                for (r, d), w in terms.items():
-                    pv = post.get(d)
-                    if pv is not None and w:
-                        key = (r2, r)
-                        cur = out.get(key)
-                        out[key] = w * pv if cur is None else cur + w * pv
+        for x, tails in self._tails.items():
+            for (x2,), c in A.mul(A.basis(x), a_elem).coeffs.items():
+                for key, v in tails.get(x2, {}).items():
+                    cur = out.get(key)
+                    out[key] = c * v if cur is None else cur + c * v
         return SparseMatrix(n, dim, dim, {k: v for k, v in out.items() if v})
 
     def lhs_matrix(self, a_elem):
-        """The coefficient matrix of lhs(a_elem, .): the presentation sum
-        folded into trace-of-operator form is the transpose of left
-        multiplication by an element e(a)."""
+        """The coefficient matrix of the presentation side at a: the
+        presentation sum folded into trace-of-operator form is the transpose
+        of left multiplication by an element e(a)."""
         A, H = self.A, self.H
         e_parts = TensorElement(H.n, 1)
         mid = A.mul(H.delta(a_elem), self.ce.p_l)
@@ -441,17 +402,6 @@ class ReductionChecker:
             if t_shift is not None:
                 e_parts = e_parts + A.mul(t_shift, A.basis(x)).scale(c)
         return A.left_mult_matrix(e_parts).transpose()
-
-    def lhs(self, a_elem, m):
-        """t_{W (x) H}(Xi(a (x) m)) via the presentation sum, folded into
-        trace-of-operator form."""
-        coeffs = self.lhs_matrix(a_elem).entries
-        total = Scalar.zero(self.H.n)
-        for key, mv in m.entries.items():
-            lv = coeffs.get(key)
-            if lv is not None:
-                total = total + mv * lv
-        return total
 
     def _t_shift(self, y):
         """sum t(m_2) S^-1(m_1) over the terms m of q_l Delta(e_y), or None
@@ -469,31 +419,33 @@ class ReductionChecker:
         return cache[y]
 
 
-def verify_reduction(H, tr, sample_budget=200, seed=0, sides=("right", "left")):
+def verify_reduction(H, tr, sides=("right", "left"), *, sample_budget=None,
+                     seed=None):
     """Check the reduction identities for the trace form.
 
     Two suites per side: the closed-form condition on every basis element,
-    and the comparison t_{H (x) H}(Xi(a (x) m)) = t_H(tr(Xi(a (x) m))).
-    When dim <= 16 the comparison is exhaustive over basis pairs (a, E_jk):
-    both sides are linear in m, so for each basis a it compares the two
-    extracted dim x dim coefficient matrices (ReductionChecker.lhs_matrix
-    and rhs_matrix).  Otherwise it evaluates both sides on a seeded sample
-    of small-integer combinations.  Failures are report entries carrying
-    the witness, the first failing a.
+    and the comparison t_{H (x) H}(Xi(a (x) m)) = t_H(tr(Xi(a (x) m))),
+    exhaustive over basis pairs (a, E_jk): both sides are linear in m, so
+    for each basis a it compares the two extracted dim x dim coefficient
+    matrices (ReductionChecker.lhs_matrix and rhs_matrix).  Failures are
+    report entries carrying the witness, the first failing a.
 
     closed_reduction_defect is written for the right side and
     ReductionChecker for the left one; each gets the other side on
     H.coopposite().
+
+    sample_budget and seed are accepted and ignored: the benchmark's
+    reduction-q1 workload still passes them, and a TypeError there would
+    end its run instead of being counted as a failed operation.
     """
     report = Check("reduction")
     A = H.alg
-    dim = H.dim
     for side in sides:
         c = report.add(Check(side))
         Hr, Hl = ((H, H.coopposite()) if side == "right"
                   else (H.coopposite(), H))
         first_bad = None
-        for a in range(dim):
+        for a in range(H.dim):
             if closed_reduction_defect(Hr, tr.form, A.basis(a)):
                 first_bad = A.labels[a]
                 break
@@ -501,36 +453,14 @@ def verify_reduction(H, tr, sample_budget=200, seed=0, sides=("right", "left")):
 
         checker = ReductionChecker(Hl, tr.form)
         first_bad = None
-        if dim <= 16:
-            label = "exhaustive over basis pairs"
-            for a in range(dim):
-                a_elem = A.basis(a)
-                if checker.lhs_matrix(a_elem) != checker.rhs_matrix(a_elem):
-                    first_bad = repr(sorted(a_elem.coeffs))
-                    break
-        else:
-            label = f"{sample_budget} seeded samples"
-            rng = random.Random(seed)
-            for _ in range(sample_budget):
-                a_elem, m = _random_case(H, rng)
-                if checker.lhs(a_elem, m) != checker.rhs(a_elem, m):
-                    first_bad = repr(sorted(a_elem.coeffs))
-                    break
-        c.check(f"straightened endomorphisms, {label}",
+        for a in range(H.dim):
+            a_elem = A.basis(a)
+            if checker.lhs_matrix(a_elem) != checker.rhs_matrix(a_elem):
+                first_bad = repr(sorted(a_elem.coeffs))
+                break
+        c.check("straightened endomorphisms, exhaustive over basis pairs",
                 first_bad is None, witness=first_bad)
     return report
-
-
-def _random_case(H, rng):
-    dim = H.dim
-    a = TensorElement(H.n, 1, {
-        (rng.randrange(dim),): Scalar.from_int(H.n, rng.choice((1, 2, -1)))
-        for _ in range(2)})
-    m = SparseMatrix(H.n, dim, dim)
-    for _ in range(2):
-        m.set(rng.randrange(dim), rng.randrange(dim),
-              Scalar.from_int(H.n, rng.choice((1, -1, 2))))
-    return a, m
 
 
 def pairing_nondegeneracy(H, tr, M, P, pres):

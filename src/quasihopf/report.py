@@ -3,7 +3,7 @@
 Each node is one named check; failures carry the first offending witness
 (a basis tuple, rendered as a string) and optionally an exact value string.
 Ordering is the insertion order, so reports are byte-identical across runs
-with identical inputs and seeds.
+with identical inputs.
 """
 
 from dataclasses import dataclass, field

@@ -137,11 +137,10 @@ def test_criterion_6_reduction_lemma():
     assert rep.passed, rep.render()
     fx2, _, sym2 = cointegral_bundle(2, PRINCIPAL[2])
     tr2 = from_symmetrised_cointegral(fx2.H, sym2)
-    rep2 = verify_reduction(fx2.H, tr2, sample_budget=200, seed=0,
-                            sides=("right", "left"))
+    rep2 = verify_reduction(fx2.H, tr2, sides=("right", "left"))
     assert rep2.passed, rep2.render()
     _report(6, "t_{HxH}(Xi(a x m)) = t_H(partial trace) exhaustively over "
-               "16 x 256 pairs at N=1 and on 200 seeded samples at N=2, "
+               "16 x 256 pairs at N=1 and 64 x 4096 pairs at N=2, "
                "left and right variants")
 
 

@@ -185,57 +185,169 @@ def test_reduction_mutation_fails_with_witness():
     assert not straightened.passed and straightened.witness
 
 
+def _wrong_form(fx):
+    """A form on Q(1) that is not a trace, e*_(1,1,0) + 2 e*_(0,1,2): its
+    reduction matrices are not scalar, and some rhs ones not symmetric."""
+    return LinearForm(8, 1, {(fx.index(1, 1, 0),): Scalar.one(8),
+                             (fx.index(0, 1, 2),): Scalar.from_int(8, 2)})
+
+
+class _StagedRhs:
+    """The composite side per case, t_H(tr(Xi(a (x) m))), with the tail of
+    the composite walked per stage vector key (x, y): the reference for
+    ReductionChecker.rhs_matrix, which folds that tail into one element Y_x
+    per basis x by associativity."""
+
+    def __init__(self, ck):
+        self.ck = ck
+        self._phipost = {}
+
+    def _phipost_at(self, x, y):
+        """Fold of the outgoing straightening map with the tail of the
+        composite (inverse associator, pivotal evaluation, t)."""
+        key = (x, y)
+        got = self._phipost.get(key)
+        if got is not None:
+            return got
+        ck = self.ck
+        A, H = ck.A, ck.H
+        out = {}
+        mid = A.mul(H.delta(A.basis(x)), ck.ce.p_l)
+        for (w, u), c in mid.coeffs.items():
+            w_act = A.mul(A.basis(w), A.basis(y))
+            for (w2,), c2 in w_act.coeffs.items():
+                for k, tvec, z in ck.post_terms:
+                    tv = tvec.get(u)
+                    if tv is None:
+                        continue
+                    zc = A.mul(z, A.basis(w2))
+                    for (dd,), zv in zc.coeffs.items():
+                        wgt = c * c2 * k * tv * zv
+                        cur = out.get(dd)
+                        out[dd] = wgt if cur is None else cur + wgt
+        out = {k: v for k, v in out.items() if v}
+        self._phipost[key] = out
+        return out
+
+    def __call__(self, a_elem, m):
+        A = self.ck.A
+        mcols = {}
+        for (r2, r), v in m.entries.items():
+            mcols.setdefault(r, []).append((r2, v))
+        v2 = {}
+        for (x, r, d), val in self.ck.v1s.items():
+            cols = mcols.get(r)
+            if not cols:
+                continue
+            xa = A.mul(A.basis(x), a_elem)
+            for (x2,), c2 in xa.coeffs.items():
+                for r2, mv in cols:
+                    key = (x2, r2, d)
+                    w = val * c2 * mv
+                    cur = v2.get(key)
+                    v2[key] = w if cur is None else cur + w
+        total = Scalar.zero(self.ck.H.n)
+        for (x, y, d), val in v2.items():
+            if not val:
+                continue
+            pv = self._phipost_at(x, y).get(d)
+            if pv is not None:
+                total = total + val * pv
+        return total
+
+
+def _staged_lhs(ck, e, m):
+    """The presentation side per case, sum m[r2, r] (e e_r2)_r: the trace of
+    m after left multiplication by e = e(a) (see lhs_matrix)."""
+    A = ck.A
+    total = Scalar.zero(ck.H.n)
+    for (r2, r), mv in m.entries.items():
+        v = A.mul(e, A.basis(r2)).coeffs.get((r,))
+        if v is not None:
+            total = total + mv * v
+    return total
+
+
+def _lhs_element(ck, a_elem):
+    """e(a) = sum c t_shift(y) e_x over the terms (x, y) of Delta(a) p_l."""
+    A = ck.A
+    e = TensorElement(ck.H.n, 1)
+    for (x, y), c in A.mul(ck.H.delta(a_elem), ck.ce.p_l).coeffs.items():
+        shift = ck._t_shift(y)
+        if shift is not None:
+            e = e + A.mul(shift, A.basis(x)).scale(c)
+    return e
+
+
+# (a, j, k) by label.  With the wrong form rhs_matrix(a) is not symmetric at
+# (j, k) on the right side for f1-K2 and f1+f1-K, on the left for f1+f1-K2,
+# and on both for f1+f1-, so a transposed key fails; the trace is nonzero at
+# f1+f1-K3.
+_COMPOSITE_CASES = [
+    ("f1-K2", "K", "1"), ("f1-K2", "1", "K"),
+    ("f1+f1-", "1", "K"), ("f1+f1-", "K", "1"),
+    ("f1+f1-K", "1", "f1+"), ("f1+f1-K", "f1+", "1"),
+    ("f1+f1-K2", "1", "f1+"), ("f1+f1-K2", "f1+", "1"),
+    ("f1+f1-K3", "K", "K"),
+]
+
+
 def test_checker_agrees_with_matrix_composites():
-    """The staged evaluators match the literal module-map pipeline: the
-    checker on H against H's left maps, and on H^cop against H's right
-    ones."""
+    """Entry (j, k) of lhs_matrix(a) and rhs_matrix(a) is the literal
+    module-map pipeline at (a, E_jk): the checker on H against H's left
+    maps, and on H^cop against H's right ones, for the trace and for a
+    wrong form."""
     fx = q_fixture(1, 7)
     H = fx.H
     A = H.alg
-    tr = _trace_for(fx)
+    wrong = _wrong_form(fx)
+    traces = [_trace_for(fx), ModifiedTrace(H, "right", wrong, wrong)]
     reg = regular_module(H)
     maps = phi_psi(H, reg)
     tp_r = tensor_presentation(H, maps)
     tp_l = _tensor_presentation_left(H, maps)
-    ck_r = ReductionChecker(H.coopposite(), tr.form)
-    ck_l = ReductionChecker(H, tr.form)
-    rng = random.Random(5)
-    for _ in range(5):
-        a = A.basis(rng.randrange(16))
-        m = SparseMatrix(H.n, 16, 16)
-        m.set(rng.randrange(16), rng.randrange(16), Scalar.one(H.n))
+    tp_h = trivial_presentation(H)
+    checkers = [(ReductionChecker(H.coopposite(), tr.form),
+                 ReductionChecker(H, tr.form)) for tr in traces]
+    for a_name, j_name, k_name in _COMPOSITE_CASES:
+        a = A.basis(A.labels.index(a_name))
+        j, k = A.labels.index(j_name), A.labels.index(k_name)
+        m = SparseMatrix(H.n, 16, 16, {(j, k): Scalar.one(H.n)})
         f_r = xi(H, reg, a, m, maps=maps)
-        assert ck_r.lhs(a, m) == evaluate(tr, tp_r, f_r)
-        assert ck_r.rhs(a, m) == evaluate(
-            tr, trivial_presentation(H), partial_trace(f_r, "right"))
         f_l = xi_left(H, reg, a, m, maps=maps)
-        assert ck_l.lhs(a, m) == evaluate(tr, tp_l, f_l)
-        assert ck_l.rhs(a, m) == evaluate(
-            tr, trivial_presentation(H), partial_trace(f_l, "left"))
+        ptr_r, ptr_l = partial_trace(f_r, "right"), partial_trace(f_l, "left")
+        for tr, (ck_r, ck_l) in zip(traces, checkers):
+            assert ck_r.lhs_matrix(a).get(j, k) == evaluate(tr, tp_r, f_r)
+            assert ck_r.rhs_matrix(a).get(j, k) == evaluate(tr, tp_h, ptr_r)
+            assert ck_l.lhs_matrix(a).get(j, k) == evaluate(tr, tp_l, f_l)
+            assert ck_l.rhs_matrix(a).get(j, k) == evaluate(tr, tp_h, ptr_l)
 
 
 def test_extracted_matrices_match_both_sides_on_every_basis_pair():
-    """lhs_matrix(a) and rhs_matrix(a) hold lhs(a, E_jk) and rhs(a, E_jk)
-    at (j, k), for every basis a and matrix unit E_jk."""
+    """lhs_matrix(a) and rhs_matrix(a) hold the staged per-case sides at
+    (j, k), for every basis a and matrix unit E_jk, for the trace and for a
+    wrong form."""
     fx = q_fixture(1, 7)
     H = fx.H
-    tr = _trace_for(fx)
     one, zero = Scalar.one(H.n), Scalar.zero(H.n)
-    for Hq in (H.coopposite(), H):
-        ck = ReductionChecker(Hq, tr.form)
-        nonzero = 0
-        for a in range(H.dim):
-            a_elem = H.alg.basis(a)
-            lm, rm = ck.lhs_matrix(a_elem), ck.rhs_matrix(a_elem)
-            assert lm.rows == lm.cols == rm.rows == rm.cols == H.dim
-            for j in range(H.dim):
-                for k in range(H.dim):
-                    e_jk = SparseMatrix(H.n, H.dim, H.dim, {(j, k): one})
-                    lhs = ck.lhs(a_elem, e_jk)
-                    assert lm.get(j, k) == lhs
-                    assert rm.get(j, k) == ck.rhs(a_elem, e_jk)
-                    nonzero += lhs != zero
-        assert nonzero > 0
+    for form in (_trace_for(fx).form, _wrong_form(fx)):
+        for Hq in (H.coopposite(), H):
+            ck = ReductionChecker(Hq, form)
+            staged_rhs = _StagedRhs(ck)
+            nonzero = 0
+            for a in range(H.dim):
+                a_elem = H.alg.basis(a)
+                lm, rm = ck.lhs_matrix(a_elem), ck.rhs_matrix(a_elem)
+                e = _lhs_element(ck, a_elem)
+                assert lm.rows == lm.cols == rm.rows == rm.cols == H.dim
+                for j in range(H.dim):
+                    for k in range(H.dim):
+                        e_jk = SparseMatrix(H.n, H.dim, H.dim, {(j, k): one})
+                        lhs = _staged_lhs(ck, e, e_jk)
+                        assert lm.get(j, k) == lhs
+                        assert rm.get(j, k) == staged_rhs(a_elem, e_jk)
+                        nonzero += lhs != zero
+            assert nonzero > 0
 
 
 def test_pairing_nondegenerate_and_counit_control():

@@ -123,6 +123,26 @@ def test_corrupted_non_generator_fails_its_multiplicative_entry(layer):
     assert got.witness is not None
 
 
+@pytest.mark.parametrize("entry", ["unit law", "S inverse"])
+def test_corrupted_basis_cell_fails_its_per_basis_entry(entry):
+    H = q_fixture(1, 7).H
+    A = H.alg
+    k = A.labels.index("K2")
+    if entry == "unit law":
+        (one,), = A.unit.coeffs
+        table = dict(A.table)
+        table[(one, k)] = {i: -v for i, v in table[(one, k)].items()}
+        broken = _replace(H, alg=AlgebraData(A.n, A.dim, A.labels, A.unit,
+                                             table))
+    else:
+        antipode_inv = list(H.antipode_inv_images)
+        antipode_inv[k] = -antipode_inv[k]
+        broken = _replace(H, antipode_inv=antipode_inv)
+    got = check_axioms(broken).find(entry)
+    assert not got.passed
+    assert got.witness == "K2"
+
+
 def test_qp_trivial_for_group_algebra():
     H = z2()
     ce = derive_qp(H)
