@@ -371,26 +371,9 @@ def apply_images_leg(images, x, leg):
 #     (f <- h)(a) = f(h a)          form shifted by left multiplication
 #     f -> h = h_(1) f(h_(2))       element, needs the coproduct
 #     h <- f = f(h_(1)) h_(2)       element, needs the coproduct
-
-
-def hit_form_right(A, h, f):
-    """h -> f, i.e. f composed with right multiplication by h."""
-    out = {}
-    for a in range(A.dim):
-        val = f.evaluate(A.mul(A.basis(a), h))
-        if val:
-            out[(a,)] = val
-    return LinearForm(A.n, 1, out)
-
-
-def hit_form_left(A, f, h):
-    """f <- h, i.e. f composed with left multiplication by h."""
-    out = {}
-    for a in range(A.dim):
-        val = f.evaluate(A.mul(h, A.basis(a)))
-        if val:
-            out[(a,)] = val
-    return LinearForm(A.n, 1, out)
+#
+# Only the element actions are functions here; the form shifts are one
+# evaluation per basis element where they are used (intcoint.symmetrise).
 
 
 def hit_elem_right(A, delta_images, f, h):

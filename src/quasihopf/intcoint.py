@@ -32,7 +32,11 @@ verified against their intrinsic characterisation
 for every basis h, which in the unimodular case collapse to
 
     sym_r(h) 1 = (sym_r (x) g)(q_r Delta(h) p_r)
-    sym_l(h) 1 = (g^-1 (x) sym_l)(q_l Delta(h) p_l).
+    sym_l(h) 1 = (g^-1 (x) sym_l)(q_l Delta(h) p_l),
+
+the reduction conditions of a right and a left modified trace.
+check_symmetrised is their one implementation (modtrace runs it with
+gamma = eps), and its verdict is memoized on H per side, gamma and form.
 
 One path per one-sided pair.  H^cop has H's algebra and counit, pivot
 g^-1, antipode S^-1, q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar
 from quasihopf.qha import QuasiHopfError, derive_UVu
-from quasihopf.report import Check
+from quasihopf.report import Check, check_every
 
 
 class DimensionZero(QuasiHopfError):
@@ -83,7 +87,7 @@ class Modulus:
         return self.form.evaluate(x)
 
     def is_counit(self, H):
-        return self.form == _counit_as_form(H)
+        return self.form == H.counit
 
 
 @dataclass
@@ -91,12 +95,10 @@ class CointegralResult:
     side: str
     form: LinearForm             # normalized cointegral
     normalization: Scalar        # factor applied to the raw RREF solution
-    symmetrised: LinearForm = None
-    gram_rank: int = None
 
 
-def _counit_as_form(H):
-    return LinearForm(H.n, 1, dict(H.counit.coeffs))
+def _all_pairs(dim):
+    return ((i, j) for i in range(dim) for j in range(dim))
 
 
 def side_algebra(H, side):
@@ -161,11 +163,11 @@ def _modulus_from(H, L):
     if not form.evaluate(A.unit).is_one():
         raise InconsistentModulus("gamma(1) != 1")
     values = [form.coeffs.get((i,), Scalar.zero(H.n)) for i in range(H.dim)]
-    for i in range(H.dim):
-        for j in range(H.dim):
-            if A.form_on_product(form, i, j) != values[i] * values[j]:
-                raise InconsistentModulus(
-                    f"gamma not multiplicative at ({A.labels[i]}, {A.labels[j]})")
+    mult = check_every(Check("modulus"), A.labels, "multiplicative",
+                       _all_pairs(H.dim), lambda i, j: A.form_on_product(
+                           form, i, j) == values[i] * values[j])
+    if not mult.passed:
+        raise InconsistentModulus(f"gamma not multiplicative at {mult.witness}")
     return Modulus(form)
 
 
@@ -231,9 +233,10 @@ def cointegrals(H, side="right", pin=None):
 def symmetrise(H, result):
     """Shift a cointegral by u g (right) or u_cop g^-1 (left) and verify.
 
-    The shift is u g of side_algebra(H, result.side).  Fills
-    result.symmetrised and returns the form; raises VerificationFailed with
-    the offending basis element if the characterisation does not hold.
+    The shift is u g of side_algebra(H, result.side).  Returns the form once
+    check_symmetrised has proven it (the proof is memoized on H); raises
+    VerificationFailed with the offending basis element if the
+    characterisation does not hold.
     """
     Hq = side_algebra(H, result.side)
     p = Hq.require_pivotal()
@@ -249,35 +252,47 @@ def symmetrise(H, result):
         bad = rep.all_failures()[0]
         raise VerificationFailed(
             f"symmetrised {result.side} cointegral fails at {bad.witness}")
-    result.symmetrised = sym
     return sym
 
 
 def check_symmetrised(H, sym, gamma, side):
     """The intrinsic characterisation of a symmetrised cointegral, per basis:
-    the right-side identity on side_algebra(H, side)."""
+    the right-side identity on side_algebra(H, side).  With gamma = eps it
+    is the closed-form reduction condition, as (eps (x) id (x) id)(Phi) =
+    1 (x) 1 and S(1) = 1 follow from the axioms check_axioms proves.
+
+    The first failing basis label (None on success) is memoized on H by
+    side and by snapshots of gamma's and sym's coefficients, so a form
+    changed after its proof is checked again.
+    """
+    key = (side, frozenset(gamma.form.coeffs.items()),
+           frozenset(sym.coeffs.items()))
+    report = Check(f"symmetrised-{side}-cointegral")
+    if key in H._symmetrised:
+        bad = H._symmetrised[key]
+        report.check("characterisation", bad is None, witness=bad)
+        return report
     Hq = side_algebra(H, side)
     A = H.alg
     p = Hq.require_pivotal()
     ce = Hq.canonical_elements()
-    report = Check(f"symmetrised-{side}-cointegral")
+    # gamma(Phi_1) Phi_2 (x) g^-1 S(Phi_3), with the third leg precomputed
+    terms = [(w, p2, p3) for (p1, p2, p3), c in Hq.coassociator.coeffs.items()
+             if (w := gamma.of(A.basis(p1)) * c)]
+    tails = {p3: A.mul(p.pivot_inv, Hq.S(A.basis(p3))) for _, _, p3 in terms}
 
-    def rhs_of(h):
-        acc = TensorElement(H.n, 1)
-        for (p1, p2, p3), c in Hq.coassociator.coeffs.items():
-            w = gamma.of(A.basis(p1)) * c * A.form_on_product(sym, p2, h)
-            if w:
-                acc = acc + A.mul(p.pivot_inv, Hq.S(A.basis(p3))).scale(w)
-        return acc
-
-    first_bad = None
-    for h in range(H.dim):
+    def holds(h):
         mid = A.mul(A.mul(ce.q_r, Hq.delta(A.basis(h))), ce.p_r)
-        lhs = sym.contract(mid, (0,))
-        if lhs != rhs_of(h):
-            first_bad = A.labels[h]
-            break
-    report.check("characterisation", first_bad is None, witness=first_bad)
+        rhs = TensorElement(H.n, 1)
+        for w, p2, p3 in terms:
+            v = w * A.form_on_product(sym, p2, h)
+            if v:
+                rhs = rhs + tails[p3].scale(v)
+        return sym.contract(mid, (0,)) == rhs
+
+    entry = check_every(report, A.labels, "characterisation",
+                        [(h,) for h in range(H.dim)], holds)
+    H._symmetrised[key] = entry.witness
     return report
 
 
@@ -294,26 +309,24 @@ def gram_matrix_rank(H, form):
 
 
 def check_form_properties(H, form, gamma):
-    """Gram rank, symmetry defect, twisted symmetry, and the antipode
-    conjugation laws of cointegrals.  Failures are report entries."""
-    A = H.alg
+    """Gram rank, symmetry (with the first failing basis pair), and whether
+    gamma is the counit.  Failures are report entries."""
     report = Check("form-properties")
-    grank = gram_matrix_rank(H, form)
-    report.check("gram rank", True, value=str(grank))
-
-    sym_defect = None
-    for i in range(H.dim):
-        for j in range(i + 1, H.dim):
-            if A.form_on_product(form, i, j) != A.form_on_product(form, j, i):
-                sym_defect = f"({A.labels[i]}, {A.labels[j]})"
-                break
-        if sym_defect:
-            break
-    report.check("symmetric", sym_defect is None, witness=sym_defect)
-
-    gamma_is_eps = gamma.form == _counit_as_form(H)
-    report.check("gamma = eps", gamma_is_eps)
+    report.check("gram rank", True, value=str(gram_matrix_rank(H, form)))
+    check_symmetric(report, H, form)
+    report.check("gamma = eps", gamma.is_counit(H))
     return report
+
+
+def check_symmetric(report, H, form):
+    """Add the entry "symmetric", form(e_i e_j) = form(e_j e_i) on every
+    basis pair i < j, to report and return it."""
+    A = H.alg
+    return check_every(
+        report, A.labels, "symmetric",
+        ((i, j) for i in range(H.dim) for j in range(i + 1, H.dim)),
+        lambda i, j: A.form_on_product(form, i, j)
+        == A.form_on_product(form, j, i))
 
 
 def check_twisted_symmetry(H, sym, gamma, side):
@@ -324,17 +337,9 @@ def check_twisted_symmetry(H, sym, gamma, side):
     A = H.alg
     report = Check(f"twisted-symmetry-{side}")
     shifted = [Hq.hit_elem_left(A.basis(j), gamma.form) for j in range(H.dim)]
-    first_bad = None
-    for i in range(H.dim):
-        for j in range(H.dim):
-            lhs = A.form_on_product(sym, i, j)
-            rhs = sym.evaluate(A.mul(shifted[j], A.basis(i)))
-            if lhs != rhs:
-                first_bad = f"({A.labels[i]}, {A.labels[j]})"
-                break
-        if first_bad:
-            break
-    report.check("twisted symmetry", first_bad is None, witness=first_bad)
+    check_every(report, A.labels, "twisted symmetry", _all_pairs(H.dim),
+                lambda i, j: A.form_on_product(sym, i, j)
+                == sym.evaluate(A.mul(shifted[j], A.basis(i))))
     return report
 
 
@@ -349,19 +354,12 @@ def check_nakayama(H, form, gamma, side):
     Hq = side_algebra(H, side)
     A = H.alg
     report = Check(f"nakayama-{side}")
-    first_bad = None
-    for i in range(H.dim):
-        a = A.basis(i)
-        sa = Hq.S(a)
-        shifted = Hq.S_inv(Hq.hit_elem_right(gamma.form, a))
-        for j in range(H.dim):
-            b = A.basis(j)
-            if form.evaluate(A.mul(sa, b)) != form.evaluate(A.mul(b, shifted)):
-                first_bad = f"({A.labels[i]}, {A.labels[j]})"
-                break
-        if first_bad:
-            break
-    report.check("antipode conjugation", first_bad is None, witness=first_bad)
+    e = [A.basis(i) for i in range(H.dim)]
+    sa = [Hq.S(a) for a in e]
+    shifted = [Hq.S_inv(Hq.hit_elem_right(gamma.form, a)) for a in e]
+    check_every(report, A.labels, "antipode conjugation", _all_pairs(H.dim),
+                lambda i, j: form.evaluate(A.mul(sa[i], e[j]))
+                == form.evaluate(A.mul(e[j], shifted[i])))
     return report
 
 

@@ -8,16 +8,18 @@ right modified trace exactly when
     t(a) 1 = (t (x) g)(q_r Delta(a) p_r)      for all a,
 
 (left variant with g^-1, q_l, p_l and the legs swapped), which is the same
-condition as being a symmetrised cointegral.
+condition as being a symmetrised cointegral.  Its one implementation is
+intcoint.check_symmetrised with gamma = eps, which memoizes each proven side
+on H: a trace built by from_symmetrised_cointegral costs verify_reduction
+nothing there, and a hand-built ModifiedTrace is checked in full.
 
 One path per one-sided pair, as in intcoint: the left variant of a
 construction on H is the right one on H.coopposite(), which is exact
 because q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21 (pinned by
-test_opposite_and_coopposite).  closed_reduction_defect is written for the
-right side and ReductionChecker for the left side; from_symmetrised_cointegral
-and verify_reduction run each on H or H^cop to get the side they need.
-repcat's left partial trace, left straightening maps and xi_left stay as
-the independent H-side reference the checker is tested against.
+test_opposite_and_coopposite).  ReductionChecker is written for the left
+side, and verify_reduction runs it on H^cop for the right one.  repcat's
+left partial trace, left straightening maps and xi_left stay as the
+independent H-side reference the checker is tested against.
 
 This module provides:
 
@@ -40,10 +42,11 @@ from dataclasses import dataclass, field
 
 from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
-from quasihopf.intcoint import modulus, side_algebra
+from quasihopf.intcoint import (Modulus, check_symmetric, check_symmetrised,
+                                modulus)
 from quasihopf.qha import QuasiHopfAlgebra, QuasiHopfError
 from quasihopf.repcat import ModuleMap, RegularRep, hom_space
-from quasihopf.report import Check
+from quasihopf.report import Check, check_every
 
 
 class NotUnimodular(QuasiHopfError):
@@ -63,56 +66,32 @@ class ModifiedTrace:
     H: QuasiHopfAlgebra
     side: str                # 'left', 'right', or 'two-sided'
     form: LinearForm         # t, with t_H(r_x) = t(x)
-    lambda_hat: LinearForm   # the symmetrised cointegral it came from
-
-
-def closed_reduction_defect(H, t, a_elem):
-    """t(a) 1 - (t (x) g)(q_r Delta(a) p_r).
-
-    Zero exactly when the right reduction condition holds at a.  On
-    H.coopposite() it is H's left defect,
-    t(a) 1 - (g^-1 (x) t)(q_l Delta(a) p_l).
-    """
-    A = H.alg
-    ce = H.canonical_elements()
-    p = H.require_pivotal()
-    mid = A.mul(A.mul(ce.q_r, H.delta(a_elem)), ce.p_r)
-    acc = TensorElement(H.n, 1)
-    for (x, y), c in mid.coeffs.items():
-        tv = t.coeffs.get((x,))
-        if tv is not None:
-            acc = acc + A.mul(p.pivot, A.basis(y)).scale(c * tv)
-    return A.unit.scale(t.evaluate(a_elem)) - acc
 
 
 def from_symmetrised_cointegral(H, lam_hat, side="right"):
     """Build the modified trace attached to a symmetrised cointegral.
 
     Requires H pivotal and unimodular; verifies the defining reduction
-    condition and exhaustive symmetry, and upgrades the side to 'two-sided'
-    when the form satisfies both the left and the right condition.
+    condition on both sides through check_symmetrised (a side that
+    symmetrise has proven for this form is a memo hit) and exhaustive
+    symmetry, and upgrades the side to 'two-sided' when the form satisfies
+    both the left and the right condition.
     """
     H.require_pivotal()
     gamma = modulus(H)
     if not gamma.is_counit(H):
         raise NotUnimodular("modified traces need a unimodular algebra")
-    A = H.alg
-    sides_ok = {}
-    for s in ("right", "left"):
-        Hq = side_algebra(H, s)
-        sides_ok[s] = not any(closed_reduction_defect(Hq, lam_hat, A.basis(a))
-                              for a in range(H.dim))
+    sides_ok = {s: check_symmetrised(H, lam_hat, gamma, s).passed
+                for s in ("right", "left")}
     if not sides_ok[side]:
         raise NotSymmetrisedCointegral(
             f"form is not a symmetrised {side} cointegral")
-    for i in range(H.dim):
-        for j in range(i + 1, H.dim):
-            if A.form_on_product(lam_hat, i, j) != \
-                    A.form_on_product(lam_hat, j, i):
-                raise NotSymmetrisedCointegral(
-                    f"form is not symmetric at ({A.labels[i]}, {A.labels[j]})")
+    symmetric = check_symmetric(Check("form"), H, lam_hat)
+    if not symmetric.passed:
+        raise NotSymmetrisedCointegral(
+            f"form is not symmetric at {symmetric.witness}")
     final = "two-sided" if sides_ok["left"] and sides_ok["right"] else side
-    return ModifiedTrace(H, final, lam_hat, lam_hat)
+    return ModifiedTrace(H, final, lam_hat)
 
 
 @dataclass
@@ -423,16 +402,17 @@ def verify_reduction(H, tr, sides=("right", "left"), *, sample_budget=None,
                      seed=None):
     """Check the reduction identities for the trace form.
 
-    Two suites per side: the closed-form condition on every basis element,
-    and the comparison t_{H (x) H}(Xi(a (x) m)) = t_H(tr(Xi(a (x) m))),
-    exhaustive over basis pairs (a, E_jk): both sides are linear in m, so
-    for each basis a it compares the two extracted dim x dim coefficient
-    matrices (ReductionChecker.lhs_matrix and rhs_matrix).  Failures are
-    report entries carrying the witness, the first failing a.
+    Two suites per side: the closed-form condition on every basis element
+    (intcoint.check_symmetrised with gamma = eps, free for a trace whose
+    sides from_symmetrised_cointegral has proven), and the comparison
+    t_{H (x) H}(Xi(a (x) m)) = t_H(tr(Xi(a (x) m))), exhaustive over basis
+    pairs (a, E_jk): both sides are linear in m, so for each basis a it
+    compares the two extracted dim x dim coefficient matrices
+    (ReductionChecker.lhs_matrix and rhs_matrix).  Failures are report
+    entries carrying the witness, the first failing a.
 
-    closed_reduction_defect is written for the right side and
-    ReductionChecker for the left one; each gets the other side on
-    H.coopposite().
+    ReductionChecker is written for the left side and gets the right one
+    on H.coopposite().
 
     sample_budget and seed are accepted and ignored: the benchmark's
     reduction-q1 workload still passes them, and a TypeError there would
@@ -440,26 +420,21 @@ def verify_reduction(H, tr, sides=("right", "left"), *, sample_budget=None,
     """
     report = Check("reduction")
     A = H.alg
+    eps = Modulus(H.counit)
+    e = [A.basis(a) for a in range(H.dim)]
+    keys = [repr(sorted(x.coeffs)) for x in e]
     for side in sides:
         c = report.add(Check(side))
-        Hr, Hl = ((H, H.coopposite()) if side == "right"
-                  else (H.coopposite(), H))
-        first_bad = None
-        for a in range(H.dim):
-            if closed_reduction_defect(Hr, tr.form, A.basis(a)):
-                first_bad = A.labels[a]
-                break
-        c.check("closed-form condition", first_bad is None, witness=first_bad)
-
-        checker = ReductionChecker(Hl, tr.form)
-        first_bad = None
-        for a in range(H.dim):
-            a_elem = A.basis(a)
-            if checker.lhs_matrix(a_elem) != checker.rhs_matrix(a_elem):
-                first_bad = repr(sorted(a_elem.coeffs))
-                break
-        c.check("straightened endomorphisms, exhaustive over basis pairs",
-                first_bad is None, witness=first_bad)
+        closed = check_symmetrised(H, tr.form, eps, side)
+        c.check("closed-form condition", closed.passed,
+                witness=closed.find("characterisation").witness)
+        checker = ReductionChecker(
+            H.coopposite() if side == "right" else H, tr.form)
+        check_every(c, keys,
+                    "straightened endomorphisms, exhaustive over basis pairs",
+                    [(a,) for a in range(H.dim)],
+                    lambda a: checker.lhs_matrix(e[a])
+                    == checker.rhs_matrix(e[a]))
     return report
 
 

@@ -66,3 +66,14 @@ class Check:
         for c in self.children:
             lines.append(c.render(indent + 1))
         return "\n".join(lines)
+
+
+def check_every(report, labels, name, cases, holds):
+    """One entry: holds(*case) on every case, a tuple of indices into
+    labels; a failure names the first offending case.  Returns the entry."""
+    for case in cases:
+        if not holds(*case):
+            names = [labels[i] for i in case]
+            bad = names[0] if len(names) == 1 else f"({', '.join(names)})"
+            return report.check(name, False, witness=bad)
+    return report.check(name, True)

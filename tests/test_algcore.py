@@ -12,8 +12,6 @@ from quasihopf.algcore import (
     flip,
     hit_elem_left,
     hit_elem_right,
-    hit_form_left,
-    hit_form_right,
 )
 from quasihopf.exactmath import Scalar
 
@@ -81,11 +79,6 @@ def test_flip_respects_composition(x, perm):
 def test_hooks_on_group_algebra():
     H = z2()
     A = H.alg
-    f = LinearForm(A.n, 1, {(0,): Scalar.from_int(A.n, 2),
-                            (1,): Scalar.from_int(A.n, 5)})
-    # 1 -> f leaves f alone
-    assert hit_form_right(A, A.unit, f) == f
-    assert hit_form_left(A, f, A.unit) == f
     # eps -> g = g since Delta(g) = g (x) g and eps(g) = 1
     g = A.basis(1)
     assert hit_elem_right(A, H.delta_images, H.counit, g) == g

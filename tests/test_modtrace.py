@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quasihopf import intcoint
+from quasihopf import cli, intcoint
 from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import Scalar, SparseMatrix
 from quasihopf.modtrace import (
@@ -32,6 +32,8 @@ from quasihopf.repcat import (
     xi,
     xi_left,
 )
+
+from quasihopf.sympferm import build
 
 from .helpers import cointegral_bundle, proportional, q_fixture, sweedler, z2, z4
 
@@ -176,13 +178,14 @@ def test_reduction_exhaustive_small():
 def test_reduction_mutation_fails_with_witness():
     fx = q_fixture(1, 7)
     wrong = LinearForm(8, 1, {(fx.index(1, 1, 0),): Scalar.one(8)})
-    bad = ModifiedTrace(fx.H, "right", wrong, wrong)
+    bad = ModifiedTrace(fx.H, "right", wrong)
     rep = verify_reduction(fx.H, bad, sides=("right",))
     assert not rep.passed
-    assert any(f.witness for f in rep.all_failures())
+    closed = rep.find("closed-form condition")
+    assert not closed.passed and closed.witness == "f1+f1-"
     straightened = rep.find(
         "straightened endomorphisms, exhaustive over basis pairs")
-    assert not straightened.passed and straightened.witness
+    assert not straightened.passed and straightened.witness == "[(12,)]"
 
 
 def _wrong_form(fx):
@@ -301,7 +304,7 @@ def test_checker_agrees_with_matrix_composites():
     H = fx.H
     A = H.alg
     wrong = _wrong_form(fx)
-    traces = [_trace_for(fx), ModifiedTrace(H, "right", wrong, wrong)]
+    traces = [_trace_for(fx), ModifiedTrace(H, "right", wrong)]
     reg = regular_module(H)
     maps = phi_psi(H, reg)
     tp_r = tensor_presentation(H, maps)
@@ -361,7 +364,7 @@ def test_pairing_nondegenerate_and_counit_control():
     # the counit is symmetric but not a cointegral: the pairing with the
     # trivial module degenerates (eps kills the integral)
     eps_tr = ModifiedTrace(H, "right",
-                           LinearForm(8, 1, dict(H.counit.coeffs)), None)
+                           LinearForm(8, 1, dict(H.counit.coeffs)))
     rep = pairing_nondegeneracy(H, eps_tr, trivial_module(H, 1), reg, pres)
     assert not rep.passed
 
@@ -385,6 +388,72 @@ def test_symmetric_trace_space_is_spanned_by_the_cointegral():
     space = symmetric_trace_space(fx.H)
     assert len(space) == 1
     assert proportional(space[0], sym)
+
+
+@pytest.mark.parametrize("fixture", [z2, z4])
+def test_symmetric_trace_space_on_group_algebras(fixture):
+    H = fixture()
+    sym = intcoint.symmetrise(H, intcoint.cointegrals(H, "right"))
+    space = symmetric_trace_space(H)
+    assert len(space) == 1
+    assert proportional(space[0], sym)
+
+
+def test_symmetric_trace_space_is_zero_when_not_unimodular():
+    assert symmetric_trace_space(sweedler()) == []
+
+
+def _count_characterisations(monkeypatch):
+    """Record each run of the characterisation loop of check_symmetrised."""
+    runs = []
+    check_every = intcoint.check_every
+
+    def counting(report, labels, name, cases, holds):
+        if name == "characterisation":
+            runs.append(report.name)
+        return check_every(report, labels, name, cases, holds)
+
+    monkeypatch.setattr(intcoint, "check_every", counting)
+    return runs
+
+
+def test_reduction_condition_is_proven_once_per_side(monkeypatch):
+    """symmetrise proves the right side, from_symmetrised_cointegral the
+    left one, and verify_reduction reuses both proofs."""
+    H = build(1, Scalar.zeta(8, 7)).H
+    runs = _count_characterisations(monkeypatch)
+    tr = cli._build_trace(H)
+    assert verify_reduction(H, tr).passed
+    assert runs == ["symmetrised-right-cointegral",
+                    "symmetrised-left-cointegral"]
+
+
+def test_changed_forms_are_checked_in_full(monkeypatch):
+    H = build(1, Scalar.zeta(8, 7)).H
+    A = H.alg
+    lam = cli._build_trace(H).form
+    runs = _count_characterisations(monkeypatch)
+    # a scaled form is a new form: both sides run, and it is a trace
+    scaled = from_symmetrised_cointegral(H, lam.scale(Scalar.zeta(8, 3)))
+    assert scaled.side == "two-sided" and len(runs) == 2
+    # a form whose coefficients change after its proof is checked again
+    form = LinearForm(H.n, 1, dict(lam.coeffs))
+    from_symmetrised_cointegral(H, form)
+    assert len(runs) == 2
+    form.coeffs[(A.labels.index("f1+f1-"),)] = Scalar.one(H.n)
+    with pytest.raises(NotSymmetrisedCointegral):
+        from_symmetrised_cointegral(H, form)
+    assert len(runs) == 4
+    # a hand-built wrong trace is checked against the closed form on both
+    # sides, and the proven form still passes from the memo
+    wrong = ModifiedTrace(H, "right", _wrong_form(q_fixture(1, 7)))
+    rep = verify_reduction(H, wrong)
+    assert len(runs) == 6
+    for side in ("right", "left"):
+        closed = rep.find(side).find("closed-form condition")
+        assert not closed.passed and closed.witness == "f1-K2"
+    assert verify_reduction(H, ModifiedTrace(H, "right", lam)).passed
+    assert len(runs) == 6
 
 
 def test_trace_correspondence_is_linear_and_injective():
