@@ -14,6 +14,12 @@ genuinely cyclotomic values runs the convolution and the reduction mod Phi_n.
 Arithmetic results are built by the module-private ``_canonical``, which
 only gcd-reduces; the public constructor keeps its full validation.
 
+:class:`SparseMatrix` products (``@`` and ``apply``) do not go through
+``Scalar`` arithmetic per term.  They bring each operand over one common
+denominator, sum products of integer numerators (plain ints for rational
+entries, coordinate tuples reduced mod Phi_n otherwise) and build one
+``Scalar`` per nonzero output entry.
+
 There is no floating point and no tolerance anywhere in this module: equality
 of scalars is equality of canonical coordinate vectors, and the linear algebra
 (:func:`rank`, :func:`nullspace`, :class:`RowReducer`) is exact Gaussian
@@ -249,21 +255,8 @@ class Scalar:
         if not any(b[1:]):
             return _rational_times(b[0], o.den, self)
         d, red = _field_data(self.n)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                row = red[k - d]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += ck * rj
-        return _canonical(self.n, out, self.den * o.den)
+        return _canonical(self.n, _cyclotomic_mul(a, b, d, red),
+                          self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -376,6 +369,25 @@ def _rational_times(c, cden, x):
         if c == -1:
             return _canonical(x.n, [-a for a in x.num], x.den)
     return _canonical(x.n, [c * a for a in x.num], cden * x.den)
+
+
+def _cyclotomic_mul(a, b, d, red):
+    """Integer coordinates of a*b mod Phi_n, for coordinate sequences a, b
+    of length d; red is the reduction rows of _field_data(n)."""
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        ck = conv[k]
+        if ck:
+            for j, rj in enumerate(red[k - d]):
+                if rj:
+                    out[j] += ck * rj
+    return out
 
 
 def _zeta_order(n):
@@ -517,17 +529,25 @@ class SparseMatrix:
     """Sparse matrix over Q(zeta_n): entries maps (row, col) -> nonzero Scalar.
 
     Instances are treated as frozen once handed out; construction may use
-    :meth:`set`.  Iteration orders are row-major and deterministic.
+    :meth:`set`.  Iteration orders are deterministic.
+
+    Products (``@`` and :meth:`apply`) run on Python ints.  The left operand
+    keeps one column index, built on first use and reset by :meth:`set`: its
+    entries as integer numerators over one common denominator D, a plain int
+    for a rational entry and the coordinate tuple for a cyclotomic one.  A
+    column of the right operand (or the vector) is brought over its own
+    common denominator E, the products are summed exactly, and each nonzero
+    sum becomes one Scalar over D*E.
     """
 
-    __slots__ = ("n", "rows", "cols", "entries", "_cols_cache")
+    __slots__ = ("n", "rows", "cols", "entries", "_index")
 
     def __init__(self, n, rows, cols, entries=None):
         self.n = n
         self.rows = rows
         self.cols = cols
         self.entries = dict(entries) if entries else {}
-        self._cols_cache = None
+        self._index = None
 
     @classmethod
     def identity(cls, n, size):
@@ -541,7 +561,7 @@ class SparseMatrix:
             self.entries[r, c] = value
         else:
             self.entries.pop((r, c), None)
-        self._cols_cache = None
+        self._index = None
 
     def add_to(self, r, c, value):
         cur = self.entries.get((r, c))
@@ -560,14 +580,19 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
-    def _by_col_of_row(self):
-        # column -> list of (row, value), for fast mat-mat products
-        if self._cols_cache is None:
-            cache = {}
-            for (r, c), v in self.entries.items():
-                cache.setdefault(c, []).append((r, v))
-            self._cols_cache = cache
-        return self._cols_cache
+    def _column_index(self):
+        """(D, {col: (rational, cyclotomic)}), each a list of (row, numerator)."""
+        if self._index is None:
+            den, rat, cyc = _numerators(self.n, self.entries.items())
+            cols = {}
+            for part, pairs in enumerate((rat, cyc)):
+                for (r, c), a in pairs:
+                    col = cols.get(c)
+                    if col is None:
+                        col = cols[c] = ([], [])
+                    col[part].append((r, a))
+            self._index = (den, cols)
+        return self._index
 
     def transpose(self):
         return SparseMatrix(self.n, self.cols, self.rows,
@@ -595,31 +620,87 @@ class SparseMatrix:
                             {k: v * scalar for k, v in self.entries.items()})
 
     def __matmul__(self, other):
-        if isinstance(other, SparseMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in matrix product")
-            left_cols = self._by_col_of_row()
-            out = {}
-            for (k, j), bv in other.entries.items():
-                for i, av in left_cols.get(k, ()):
-                    key = (i, j)
-                    cur = out.get(key)
-                    s = av * bv if cur is None else cur + av * bv
-                    out[key] = s
-            out = {k: v for k, v in out.items() if v}
-            return SparseMatrix(self.n, self.rows, other.cols, out)
-        return NotImplemented
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        if self.n != other.n:
+            raise ValueError(f"conductor mismatch: {self.n} vs {other.n}")
+        left = self._column_index()[1]
+        by_col = {}
+        for (k, j), v in other.entries.items():
+            if k not in left:
+                continue
+            col = by_col.get(j)
+            if col is None:
+                by_col[j] = [(k, v)]
+            else:
+                col.append((k, v))
+        out = SparseMatrix(self.n, self.rows, other.cols)
+        entries = out.entries
+        made = {}
+        for j, col in by_col.items():
+            for i, v in self._times_column(col, made).items():
+                entries[i, j] = v
+        return out
 
     def apply(self, vec):
         """Apply to a sparse vector {index: Scalar}; returns the same shape."""
-        cols = self._by_col_of_row()
+        return self._times_column(vec.items(), {})
+
+    def _times_column(self, items, made):
+        """{row: Scalar}, the product with the column given as (index, Scalar)
+        pairs; zero sums are dropped.  made maps (numerator, denominator) to
+        the Scalar already built for it, so equal entries share one object."""
+        n = self.n
+        d, red = _field_data(n)
+        den, left = self._column_index()
+        e, rat, cyc = _numerators(n, items)
+        racc = {}  # row -> int sum of rational products
+        cacc = {}  # row -> coordinate list of the other products
+        get = racc.get
+        for k, x in rat:
+            col = left.get(k)
+            if col is None:
+                continue
+            for i, a in col[0]:
+                racc[i] = get(i, 0) + a * x
+            for i, a in col[1]:
+                p = [c * x for c in a]
+                cur = cacc.get(i)
+                cacc[i] = p if cur is None else [s + t for s, t in zip(cur, p)]
+        for k, x in cyc:
+            col = left.get(k)
+            if col is None:
+                continue
+            for i, a in col[0]:
+                p = [a * c for c in x]
+                cur = cacc.get(i)
+                cacc[i] = p if cur is None else [s + t for s, t in zip(cur, p)]
+            for i, a in col[1]:
+                p = _cyclotomic_mul(a, x, d, red)
+                cur = cacc.get(i)
+                cacc[i] = p if cur is None else [s + t for s, t in zip(cur, p)]
+        den *= e
         out = {}
-        for j, x in vec.items():
-            for i, a in cols.get(j, ()):
-                cur = out.get(i)
-                s = a * x if cur is None else cur + a * x
-                out[i] = s
-        return {i: v for i, v in out.items() if v}
+        zeros = [0] * (d - 1)
+        for i, s in racc.items():
+            coords = cacc.get(i)
+            if coords is not None:
+                coords[0] += s
+            elif s:
+                v = made.get((s, den))
+                if v is None:
+                    v = made[s, den] = _canonical(n, [s] + zeros, den)
+                out[i] = v
+        for i, coords in cacc.items():
+            if any(coords):
+                key = (tuple(coords), den)
+                v = made.get(key)
+                if v is None:
+                    v = made[key] = _canonical(n, coords, den)
+                out[i] = v
+        return out
 
     def _check_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -639,6 +720,29 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _numerators(n, items):
+    """(E, rational, cyclotomic) for (key, Scalar) pairs: E is the common
+    denominator, and each value's numerator over E goes with its key into
+    rational as an int when the value is in Q, into cyclotomic as its
+    coordinate tuple otherwise."""
+    items = list(items)
+    e = 1
+    for _, v in items:
+        if v.n != n:
+            raise ValueError(f"conductor mismatch: {n} vs {v.n}")
+        if e % v.den:
+            e = e // gcd(e, v.den) * v.den
+    rat, cyc = [], []
+    for k, v in items:
+        m = e // v.den
+        num = v.num
+        if any(num[1:]):
+            cyc.append((k, tuple(a * m for a in num)))
+        else:
+            rat.append((k, num[0] * m))
+    return e, rat, cyc
 
 
 class RowReducer:

@@ -45,7 +45,7 @@ from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
 from quasihopf.intcoint import (Modulus, check_symmetric, check_symmetrised,
                                 modulus)
 from quasihopf.qha import QuasiHopfAlgebra, QuasiHopfError
-from quasihopf.repcat import ModuleMap, RegularRep, hom_space
+from quasihopf.repcat import ModuleMap, RegularRep, ShapeMismatch, hom_space
 from quasihopf.report import Check, check_every
 
 
@@ -104,15 +104,27 @@ class ProjectivePresentation:
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def validate(self):
-        """Check sum a_i . b_i = id_P; a passed check is remembered."""
+        """Check sum a_i . b_i = id_P; a passed check is remembered.
+
+        The sum is one product: the a_i side by side times the b_i stacked.
+        """
         if self._valid:
             return self
-        total = None
+        n, dim = self.module.H.n, self.module.dim
+        side, stack = {}, {}
+        off = 0
         for a, b in zip(self.maps_in, self.maps_out):
-            ab = a @ b
-            total = ab if total is None else total + ab
-        if total is None or total.matrix != SparseMatrix.identity(
-                self.module.H.n, self.module.dim):
+            if b.target.dim != a.source.dim:
+                raise ShapeMismatch("composition dimension mismatch")
+            if a.target.dim != dim or b.source.dim != dim:
+                raise BadPresentation("the maps do not compose to the identity")
+            for (r, c), v in a.matrix.entries.items():
+                side[r, off + c] = v
+            for (r, c), v in b.matrix.entries.items():
+                stack[off + r, c] = v
+            off += a.source.dim
+        total = SparseMatrix(n, dim, off, side) @ SparseMatrix(n, off, dim, stack)
+        if total != SparseMatrix.identity(n, dim):
             raise BadPresentation("the maps do not compose to the identity")
         self._valid = True
         return self

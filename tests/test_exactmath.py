@@ -330,3 +330,112 @@ def test_scalars_survive_pickle_and_deepcopy():
                     copy.copy(x)):
             assert got == x and hash(got) == hash(x)
             _assert_canonical(got, 8)
+
+
+# -- the sparse integer kernel against the Scalar loops ----------------------
+#
+# The reference is the product SparseMatrix ran before its integer kernel:
+# one Scalar multiply and one Scalar add per term, in the entries' order.
+
+
+def _scalar_apply(m, vec):
+    cols = {}
+    for (r, c), v in m.entries.items():
+        cols.setdefault(c, []).append((r, v))
+    out = {}
+    for j, x in vec.items():
+        for i, a in cols.get(j, ()):
+            cur = out.get(i)
+            out[i] = a * x if cur is None else cur + a * x
+    return {i: v for i, v in out.items() if v}
+
+
+def _scalar_matmul(a, b):
+    out = {}
+    for j in range(b.cols):
+        column = {k: v for (k, c), v in b.entries.items() if c == j}
+        for i, v in _scalar_apply(a, column).items():
+            out[i, j] = v
+    return out
+
+
+def _assert_kernel_result(got, want, n):
+    assert got == want
+    for v in got.values():
+        assert v  # no zero entry is stored
+        _assert_canonical(v, n)
+
+
+def matrix_values(n):
+    # 1/2, 1/3 and zeta_n^k mix denominators and rational with cyclotomic
+    # entries; 0 is a drawn value that must not be stored
+    special = st.sampled_from(
+        [Scalar.from_fraction(n, Fraction(1, 2)),
+         Scalar.from_fraction(n, Fraction(-1, 3))]
+        + [Scalar.zeta(n, k) for k in range(n)])
+    return st.one_of(special, kernel_scalars(n))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.sampled_from([1, 4, 8]))
+    values = matrix_values(n)
+
+    def matrix(rows, cols):
+        m = SparseMatrix(n, rows, cols)
+        for cell in draw(st.sets(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                           st.integers(0, max(cols - 1, 0))),
+                                 max_size=rows * cols)):
+            m.set(*cell, draw(values))
+        return m
+
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = matrix(r, k), matrix(k, c)
+    vec = draw(st.dictionaries(st.integers(0, max(k - 1, 0)), values)) if k else {}
+    return n, a, b, vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_sparse_kernel_matches_scalar_loops(case):
+    n, a, b, vec = case
+    _assert_kernel_result((a @ b).entries, _scalar_matmul(a, b), n)
+    _assert_kernel_result(a.apply(vec), _scalar_apply(a, vec), n)
+    assert a.apply({}) == {}
+
+    # [a | a] [b; -b] = 0 and [a | a] (vec; -vec) = 0, by exact cancellation
+    side = SparseMatrix(n, a.rows, 2 * a.cols, a.entries)
+    for (r, c), v in a.entries.items():
+        side.set(r, a.cols + c, v)
+    stack = SparseMatrix(n, 2 * b.rows, b.cols, b.entries)
+    for (r, c), v in b.entries.items():
+        stack.set(b.rows + r, c, -v)
+    assert (side @ stack).entries == {}
+    assert side.apply({**vec, **{a.cols + j: -x for j, x in vec.items()}}) == {}
+
+    # set() after a product drops the cached index
+    if a.rows and a.cols:
+        a.set(0, a.cols - 1, Scalar.zeta(n) + Scalar.from_fraction(n, Fraction(1, 3)))
+        _assert_kernel_result((a @ b).entries, _scalar_matmul(a, b), n)
+        _assert_kernel_result(a.apply(vec), _scalar_apply(a, vec), n)
+        a.add_to(0, a.cols - 1, Scalar.from_fraction(n, Fraction(5, 7)))
+        _assert_kernel_result(a.apply(vec), _scalar_apply(a, vec), n)
+
+
+def test_sparse_kernel_empty_operands():
+    for n in (1, 4, 8):
+        empty = SparseMatrix(n, 3, 2)
+        ident = SparseMatrix.identity(n, 2)
+        assert (empty @ ident).entries == {}
+        assert (ident @ SparseMatrix(n, 2, 0)).entries == {}
+        assert empty.apply({0: Scalar.one(n)}) == {}
+        assert ident.apply({}) == {}
+        assert ident.apply({1: Scalar.zero(n)}) == {}
+
+
+def test_sparse_kernel_refuses_mixed_conductors():
+    a = SparseMatrix.identity(8, 2)
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        a @ SparseMatrix.identity(4, 2)
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        a.apply({0: Scalar.one(4)})

@@ -559,15 +559,15 @@ def test_presentation_is_validated_once(monkeypatch):
     tr = _trace_for(fx)
     pres = trivial_presentation(fx.H)
     ident = pres.maps_in[0]
-    compositions = []
-    compose = ModuleMap.__matmul__
+    products = []
+    product = SparseMatrix.__matmul__
 
     def counting(self, other):
-        compositions.append(1)
-        return compose(self, other)
+        products.append(1)
+        return product(self, other)
 
-    monkeypatch.setattr(ModuleMap, "__matmul__", counting)
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
     first = evaluate(tr, pres, ident)
-    assert len(compositions) == 1
+    assert len(products) == 1
     assert evaluate(tr, pres, ident) == first
-    assert len(compositions) == 1
+    assert len(products) == 1
