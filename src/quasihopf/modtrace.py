@@ -45,7 +45,7 @@ from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
 from quasihopf.intcoint import (Modulus, check_symmetric, check_symmetrised,
                                 modulus)
 from quasihopf.qha import QuasiHopfAlgebra, QuasiHopfError
-from quasihopf.repcat import ModuleMap, RegularRep, ShapeMismatch, hom_space
+from quasihopf.repcat import ModuleMap, RegularRep, hom_space
 from quasihopf.report import Check, check_every
 
 
@@ -114,9 +114,7 @@ class ProjectivePresentation:
         side, stack = {}, {}
         off = 0
         for a, b in zip(self.maps_in, self.maps_out):
-            if b.target.dim != a.source.dim:
-                raise ShapeMismatch("composition dimension mismatch")
-            if a.target.dim != dim or b.source.dim != dim:
+            if (a.target.dim, b.source.dim, b.target.dim) != (dim, dim, a.source.dim):
                 raise BadPresentation("the maps do not compose to the identity")
             for (r, c), v in a.matrix.entries.items():
                 side[r, off + c] = v

@@ -165,6 +165,12 @@ def test_bad_presentation_is_rejected():
     bad = ProjectivePresentation(reg, [half_ident], [ident])
     with pytest.raises(BadPresentation):
         evaluate(tr, bad, ident)
+    # b_i must land where a_i starts
+    tri = trivial_module(H, 1)
+    skewed = ProjectivePresentation(
+        reg, [ident], [ModuleMap(reg, tri, SparseMatrix(8, 1, reg.dim))])
+    with pytest.raises(BadPresentation):
+        evaluate(tr, skewed, ident)
 
 
 def test_reduction_exhaustive_small():
