@@ -10,13 +10,14 @@ traces are built literally as the composites
     tr_l(g): A -> 1.A -> (Cd C)A -> Cd(C A) -> Cd(C B) -> (Cd C)B -> 1.B -> B
 
 with every coherence map realized explicitly.  Unit constraints are the
-identity on underlying coordinates.  The coassociator (resp. its inverse)
-acts leg by leg on the dim(A) coevaluation columns and on the dim(B)
-evaluation rows the composite uses, and f acts on one Cd coordinate at a
-time; neither the associator matrices nor the map tensored with the
-identity of Cd is formed.  The duality data and the two coherence legs are
-cached on C, keyed by the partner module, so a second partial trace over
-the same modules pays only for f.
+identity on underlying coordinates.  Each coherence leg, the coassociator
+(resp. its inverse) on the coevaluation columns or the evaluation rows the
+composite uses, is one integer-kernel product, and f (x) id_Cd followed by
+the sum over the Cd coordinate is two more; neither the associator matrices
+nor the map tensored with the identity of Cd is formed.  The duality data
+and the two coherence legs are cached on C, keyed by the partner module, so
+a second partial trace over the same modules pays only for f.  Each
+straightening isomorphism of phi_psi is likewise one kernel product.
 
 Module maps are sparse matrices tagged with source and target; every
 constructor here yields maps that pass the intertwiner check, and Hom-spaces
@@ -43,7 +44,6 @@ class Representation:
         self.dim = dim
         self._matrices = {}
         self._columns = {}
-        self._rows = {}
         self._duality = None
         self._trace_legs = {}
 
@@ -62,15 +62,6 @@ class Representation:
             col = self.matrix(i).apply({j: Scalar.one(self.H.n)})
             self._columns[key] = col
         return col
-
-    def row(self, i, r):
-        """Row r of rho(e_i) as a sparse dict."""
-        rows = self._rows.get(i)
-        if rows is None:
-            rows = self._rows[i] = {}
-            for (r2, c), v in self.matrix(i).entries.items():
-                rows.setdefault(r2, {})[c] = v
-        return rows.get(r, {})
 
     def duality(self):
         """The DualityData of this module, built once."""
@@ -403,106 +394,88 @@ def partial_trace(f, side="right"):
             raise MissingPivotalData("left partial trace needs pivotal data")
     else:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    columns = _trace_leg(C, side, A, incoming=True)
-    rows = _trace_leg(C, side, B, incoming=False)
-    m = SparseMatrix(f.source.H.n, B.dim, A.dim)
-    for j, slices in columns.items():
-        acc = {}
-        # f (x) id_Cd, one Cd coordinate k at a time
-        for k, vec in slices.items():
-            rows_k = rows.get(k)
-            if not rows_k:
-                continue
-            for t, fv in f.apply(vec).items():
-                for i, q in rows_k.get(t, ()):
-                    cur = acc.get(i)
-                    acc[i] = q * fv if cur is None else cur + q * fv
-        for i, v in acc.items():
-            m.set(i, j, v)  # drops a zero sum
+    legs = C._trace_legs
+    for key in ((side, A, True), (side, B, False)):
+        if key not in legs:
+            legs[key] = _trace_leg(C, *key)
+    columns, rows = legs[side, A, True], legs[side, B, False]
+    # f (x) id_Cd on every column (k, j), then the sum over k
+    dt = f.target.dim
+    stacked = {}
+    for (t, kj), v in (f.matrix @ columns).entries.items():
+        k, j = divmod(kj, A.dim)
+        stacked[k * dt + t, j] = v
+    m = rows @ SparseMatrix(f.source.H.n, rows.cols, A.dim, stacked)
     return ModuleMap(A, B, m)
 
 
 def _trace_leg(C, side, partner, incoming):
-    """One coherence leg of a partial trace over C, cached on C by partner.
+    """One coherence leg of a partial trace over C, with its partner module.
 
-    Incoming (partner A), the columns j of
+    Incoming (partner A), the composite
         right: assoc(A, C, Cd) . (id_A (x) coev_l) . (A -> A.1)
         left:  assoc_inv(Cd, C, A) . (coev_r (x) id_A) . (A -> 1.A)
-    as {j: {k: {s: value}}}, k the Cd coordinate and s the index in the
-    source of f (A (x) C, resp. C (x) A).  Outgoing (partner B), the rows i of
+    as a matrix with rows s, the index in the source of f (A (x) C, resp.
+    C (x) A), and columns (k, j), k the Cd coordinate.  Outgoing (partner B),
         right: (B.1 -> B) . (id_B (x) ev_r) . assoc_inv(B, C, Cd)
         left:  (1.B -> B) . (ev_l (x) id_B) . assoc(Cd, C, B)
-    as {k: {t: [(i, value)]}}, t the index in the target of f.
+    as a matrix with rows i and columns (k, t), t the index in the target
+    of f.
+
+    Over the coherence terms c x (x) y (x) z, the leg is sum c rho_P(u) (x) w
+    for the partner's term u (x on the right, z on the left) and
+    w = rho(u1) . pair . rho(u2)^T, with u1 (x) u2 the terms acting on the
+    C (x) Cd (resp. Cd (x) C) pair; for an outgoing leg the transposes move
+    to rho(u1).  Each w is two small kernel products, and the leg one more:
+    the partner's action entries, one column per term, times c w, one row
+    per term.
     """
-    key = (side, incoming, partner)
-    got = C._trace_legs.get(key)
-    if got is not None:
-        return got
     H = C.H
+    n = H.n
     d = C.duality()
     dc, dp = C.dim, partner.dim
     if side == "right":
-        # index (p, c, k) of P (x) C (x) Cd; the pair (c, k) is one C (x) Cd index
-        reps = (partner, C, d.dual)
         pair = d.coev_left if incoming else d.ev_right
         coherence = H.coassociator if incoming else H.coassociator_inv
-
-        def place(p, ck):
-            return p * dc * dc + ck
-
-        def split(idx):
-            return divmod(idx, dc)
+        terms = [(x, C.matrix(y), d.dual.matrix(z), c)
+                 for (x, y, z), c in coherence.coeffs.items()]
     else:
-        # index (k, c, p) of Cd (x) C (x) P; the pair (k, c) is one Cd (x) C index
-        reps = (d.dual, C, partner)
         pair = d.coev_right if incoming else d.ev_left
         coherence = H.coassociator_inv if incoming else H.coassociator
-
-        def place(p, kc):
-            return kc * dp + p
-
-        def split(idx):
-            k, s = divmod(idx, dc * dp)
-            return s, k
-    pair_vec = {(r if incoming else c): v
-                for (r, c), v in pair.matrix.entries.items()}
-    leg = {}
-    for p in range(dp):
-        vec = {place(p, idx): v for idx, v in pair_vec.items()}
-        for idx, v in _triple_action(coherence, reps, vec,
-                                     rows=not incoming).items():
-            s, k = split(idx)
-            if incoming:
-                leg.setdefault(p, {}).setdefault(k, {})[s] = v
-            else:
-                leg.setdefault(k, {}).setdefault(s, []).append((p, v))
-    C._trace_legs[key] = leg
-    return leg
-
-
-def _triple_action(tensor3, reps, vec, rows=False):
-    """tensor3 acting leg by leg on a sparse vector of U (x) V (x) W, or,
-    with rows=True, a sparse covector times that action: the product with
-    _triple_action_matrix(H, tensor3, U, V, W), without forming it."""
-    _, V, W = reps
-    dv, dw = V.dim, W.dim
-    leg_u, leg_v, leg_w = (rep.row if rows else rep.column for rep in reps)
-    out = {}
-    for (x, y, z), c in tensor3.coeffs.items():
-        for key, val in vec.items():
-            uv, w = divmod(key, dw)
-            u, v = divmod(uv, dv)
-            cv = c * val
-            for u2, a in leg_u(x, u).items():
-                ca = cv * a
-                for v2, b in leg_v(y, v).items():
-                    cab = ca * b
-                    base = (u2 * dv + v2) * dw
-                    for w2, e in leg_w(z, w).items():
-                        k = base + w2
-                        cur = out.get(k)
-                        out[k] = cab * e if cur is None else cur + cab * e
-    return {k: v for k, v in out.items() if v}
+        terms = [(z, d.dual.matrix(x), C.matrix(y), c)
+                 for (x, y, z), c in coherence.coeffs.items()]
+    pair = SparseMatrix(n, dc, dc, {divmod(r if incoming else c, dc): v
+                                    for (r, c), v in pair.matrix.entries.items()})
+    size = len(terms)
+    action, coeffs, products = {}, {}, {}
+    for t, (u, first, second, c) in enumerate(terms):
+        coeffs[t, t] = c
+        for (r, col), v in partner.matrix(u).entries.items():
+            action[r * dp + col, t] = v
+        if incoming:
+            w = first @ pair @ second.transpose()
+        else:
+            w = first.transpose() @ pair @ second
+        for (a, b), v in w.entries.items():
+            products[t, a * dc + b] = v
+    leg = SparseMatrix(n, dp * dp, size, action) @ (
+        SparseMatrix(n, size, size, coeffs)
+        @ SparseMatrix(n, size, dc * dc, products))
+    entries = {}
+    for (rc, ab), v in leg.entries.items():
+        r, col = divmod(rc, dp)
+        a, b = divmod(ab, dc)
+        if side == "right":
+            s, k = (r if incoming else col) * dc + a, b
+        else:
+            s, k = b * dp + (r if incoming else col), a
+        if incoming:
+            entries[s, k * dp + col] = v
+        else:
+            entries[r, k * dp * dc + s] = v
+    if incoming:
+        return SparseMatrix(n, dp * dc, dc * dp, entries)
+    return SparseMatrix(n, dp, dc * dp * dc, entries)
 
 
 def _tensor_map(f, g):
@@ -524,70 +497,58 @@ def phi_psi(H, V):
         psi_r(h (x) v) = [(id (x) S)(q_r Delta(h))] . (1 (x) v)
 
     and their left-handed analogues (with p_l, q_l, S^-1, legs swapped).
-    The second legs act through the module structure of V.
+    The second legs act through the module structure of V, stacked into one
+    matrix with rows (r, v) and columns y; for psi it is first composed with
+    the matrix of S (resp. S^-1).  Each map is then one product of that
+    action with the matrix of h -> mid(h), re-keyed.
     """
     A = H.alg
     ce = H.canonical_elements()
     reg = RegularRep(H)
     triv = TrivialRep(H, V.dim)
-    dv = V.dim
+    act = SparseMatrix(H.n, V.dim * V.dim, H.dim, {
+        (r * V.dim + v, y): c
+        for y in range(H.dim) for (r, v), c in V.matrix(y).entries.items()})
 
-    def build(source, target, columns):
-        m = SparseMatrix(H.n, target.dim, source.dim)
-        for col, entries in columns:
-            for k, c in entries.items():
-                m.add_to(k, col, c)
-        return ModuleMap(source, target, m)
+    def through(images):
+        return act @ SparseMatrix(H.n, H.dim, H.dim, {
+            (i, y): c for y, img in enumerate(images)
+            for (i,), c in img.coeffs.items()})
 
-    def cols_right(mid_of_h, act_img):
-        for h in range(H.dim):
-            mid = mid_of_h(h)
-            for v in range(dv):
-                entries = {}
-                for (x, y), c in mid.coeffs.items():
-                    for r, cv in _elem_column(V, act_img(y), v).items():
-                        k = x * dv + r
-                        cur = entries.get(k)
-                        s = c * cv if cur is None else cur + c * cv
-                        entries[k] = s
-                yield h * dv + v, {k: v2 for k, v2 in entries.items() if v2}
-
-    phi_r = build(TensorRep(reg, triv), TensorRep(reg, V), cols_right(
-        lambda h: A.mul(H.delta(A.basis(h)), ce.p_r), lambda y: A.basis(y)))
-    psi_r = build(TensorRep(reg, V), TensorRep(reg, triv), cols_right(
-        lambda h: A.mul(ce.q_r, H.delta(A.basis(h))),
-        lambda y: H.S(A.basis(y))))
-
-    def cols_left(mid_of_h, act_img):
-        for v in range(dv):
-            for h in range(H.dim):
-                mid = mid_of_h(h)
-                entries = {}
-                for (x, y), c in mid.coeffs.items():
-                    for r, cv in _elem_column(V, act_img(x), v).items():
-                        k = r * H.dim + y
-                        cur = entries.get(k)
-                        s = c * cv if cur is None else cur + c * cv
-                        entries[k] = s
-                yield v * H.dim + h, {k: v2 for k, v2 in entries.items() if v2}
-
-    phi_l = build(TensorRep(triv, reg), TensorRep(V, reg), cols_left(
-        lambda h: A.mul(H.delta(A.basis(h)), ce.p_l), lambda x: A.basis(x)))
-    psi_l = build(TensorRep(V, reg), TensorRep(triv, reg), cols_left(
-        lambda h: A.mul(ce.q_l, H.delta(A.basis(h))),
-        lambda x: H.S_inv(A.basis(x))))
+    deltas = H.delta_images
+    phi_r = _straightening(TensorRep(reg, triv), TensorRep(reg, V), act,
+                           [A.mul(d, ce.p_r) for d in deltas], True)
+    psi_r = _straightening(TensorRep(reg, V), TensorRep(reg, triv),
+                           through(H.antipode_images),
+                           [A.mul(ce.q_r, d) for d in deltas], True)
+    phi_l = _straightening(TensorRep(triv, reg), TensorRep(V, reg), act,
+                           [A.mul(d, ce.p_l) for d in deltas], False)
+    psi_l = _straightening(TensorRep(V, reg), TensorRep(triv, reg),
+                           through(H.antipode_inv_images),
+                           [A.mul(ce.q_l, d) for d in deltas], False)
     return phi_r, psi_r, phi_l, psi_l
 
 
-def _elem_column(V, x, j):
-    """(rho_V of the element x) applied to basis vector j."""
-    out = {}
-    for (i,), c in x.coeffs.items():
-        for k, v in V.column(i, j).items():
-            cur = out.get(k)
-            s = c * v if cur is None else cur + c * v
-            out[k] = s
-    return {k: v for k, v in out.items() if v}
+def _straightening(source, target, act, mids, right):
+    """The map (h, v) -> sum c x (x) act(y) e_v over the terms c x (x) y of
+    mids[h] (right), or the same with the legs swapped, (v, h) -> sum
+    c act(x) e_v (x) y (left): the product of act, rows (r, v) and columns
+    the acting leg, with mids keyed by the acting leg and (other leg, h)."""
+    n, D = source.H.n, source.H.dim
+    dv = source.dim // D
+    mid = SparseMatrix(n, D, D * D, {
+        ((y, x * D + h) if right else (x, y * D + h)): c
+        for h, el in enumerate(mids) for (x, y), c in el.coeffs.items()})
+    entries = {}
+    for (rv, oh), c in (act @ mid).entries.items():
+        r, v = divmod(rv, dv)
+        o, h = divmod(oh, D)
+        if right:
+            entries[o * dv + r, h * dv + v] = c
+        else:
+            entries[r * D + o, v * D + h] = c
+    return ModuleMap(source, target,
+                     SparseMatrix(n, target.dim, source.dim, entries))
 
 
 def xi(H, W, a, m, maps=None):

@@ -25,7 +25,7 @@ from quasihopf.repcat import (
     xi_left,
 )
 
-from .helpers import q_fixture, q_principal, z2, z4
+from .helpers import q_fixture, q_principal, sweedler, z2, z4
 
 
 def _ident(n, d, scale=1):
@@ -215,6 +215,84 @@ def test_phi_psi_inverse_pairs():
         assert (psi_l @ phi_l).matrix == SparseMatrix.identity(H.n, d)
         assert phi_r.is_intertwiner()
         assert phi_l.is_intertwiner()
+
+
+def _reference_phi_psi(H, V):
+    """The four straightening maps built column by column, one Scalar
+    product per term: the literal reference for phi_psi's kernel products."""
+    A = H.alg
+    ce = H.canonical_elements()
+    reg = repcat.RegularRep(H)
+    triv = repcat.TrivialRep(H, V.dim)
+    dv = V.dim
+
+    def elem_column(x, j):
+        out = {}
+        for (i,), c in x.coeffs.items():
+            for k, v in V.column(i, j).items():
+                out[k] = c * v if k not in out else out[k] + c * v
+        return {k: v for k, v in out.items() if v}
+
+    def build(source, target, columns):
+        m = SparseMatrix(H.n, target.dim, source.dim)
+        for col, entries in columns:
+            for k, c in entries.items():
+                m.add_to(k, col, c)
+        return ModuleMap(source, target, m)
+
+    def cols_right(mid_of_h, act_img):
+        for h in range(H.dim):
+            mid = mid_of_h(h)
+            for v in range(dv):
+                entries = {}
+                for (x, y), c in mid.coeffs.items():
+                    for r, cv in elem_column(act_img(y), v).items():
+                        k = x * dv + r
+                        entries[k] = c * cv if k not in entries \
+                            else entries[k] + c * cv
+                yield h * dv + v, {k: e for k, e in entries.items() if e}
+
+    def cols_left(mid_of_h, act_img):
+        mids = [mid_of_h(h) for h in range(H.dim)]
+        for v in range(dv):
+            for h in range(H.dim):
+                entries = {}
+                for (x, y), c in mids[h].coeffs.items():
+                    for r, cv in elem_column(act_img(x), v).items():
+                        k = r * H.dim + y
+                        entries[k] = c * cv if k not in entries \
+                            else entries[k] + c * cv
+                yield v * H.dim + h, {k: e for k, e in entries.items() if e}
+
+    return (
+        build(tensor(reg, triv), tensor(reg, V), cols_right(
+            lambda h: A.mul(H.delta(A.basis(h)), ce.p_r), A.basis)),
+        build(tensor(reg, V), tensor(reg, triv), cols_right(
+            lambda h: A.mul(ce.q_r, H.delta(A.basis(h))),
+            lambda y: H.S(A.basis(y)))),
+        build(tensor(triv, reg), tensor(V, reg), cols_left(
+            lambda h: A.mul(H.delta(A.basis(h)), ce.p_l), A.basis)),
+        build(tensor(V, reg), tensor(triv, reg), cols_left(
+            lambda h: A.mul(ce.q_l, H.delta(A.basis(h))),
+            lambda x: H.S_inv(A.basis(x)))))
+
+
+def test_phi_psi_matches_the_column_reference():
+    """All four maps equal the per-column construction; the non-regular
+    tensor(trivial(2), reg) action sees a transposed (r, v) key."""
+    algebras = [z2(), z4(), sweedler()] + \
+        [q_fixture(1, k).H for k in (1, 3, 5, 7)]
+    for H in algebras:
+        reg = regular_module(H)
+        for V in (reg, trivial_module(H, 2),
+                  tensor(trivial_module(H, 2), reg)):
+            got = phi_psi(H, V)
+            want = _reference_phi_psi(H, V)
+            for g, w in zip(got, want):
+                assert g.matrix.nnz() > 0
+                assert g.matrix == w.matrix
+                assert (g.source.dim, g.target.dim) == \
+                    (w.source.dim, w.target.dim)
 
 
 def test_psi_r_collapses_p_r_columns():
@@ -409,6 +487,29 @@ def test_partial_trace_matches_composite_on_other_modules():
              (_seeded_map(tri_reg, tri_reg, 2), "left"),
              # A != B: the partner modules of the two coherence legs differ
              (_seeded_map(tri_reg, reg_reg, 3), "right")]
+    # Q(1) has an 8-term coassociator; A != B on either side, through an
+    # H-linear map on the partner leg: h -> (h x1, h x2) into k^2 (x) H on
+    # the right, the integral k -> H on the left
+    H1 = q_fixture(1, 7).H
+    reg1 = regular_module(H1)
+    maps = phi_psi(H1, reg1)
+    m = SparseMatrix(H1.n, 16, 16)
+    m.set(2, 5, Scalar.one(H1.n))
+    m.set(7, 7, Scalar.from_int(H1.n, -3))
+    a = H1.basis(1) + H1.basis(6)
+    ident = ModuleMap.identity(reg1)
+    split = SparseMatrix(H1.n, 32, 16)
+    for i, x in enumerate((H1.basis(0) + H1.basis(3), H1.basis(5))):
+        for (r, c), v in H1.alg.right_mult_matrix(x).entries.items():
+            split.set(i * 16 + r, c, v)
+    down = ModuleMap(reg1, tensor(trivial_module(H1, 2), reg1), split)
+    up = hom_space(trivial_module(H1, 1), reg1)[0]
+    assert down.is_intertwiner() and up.is_intertwiner()
+    cases += [
+        (repcat._tensor_map(down, ident) @ xi(H1, reg1, a, m, maps=maps),
+         "right"),
+        (xi_left(H1, reg1, a, m, maps=maps) @ repcat._tensor_map(ident, up),
+         "left")]
     for f, side in cases:
         got = partial_trace(f, side)
         assert got.matrix.nnz() > 0
@@ -440,8 +541,8 @@ def test_second_partial_trace_reuses_the_coherence_legs(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(repcat, "DualityData", CountingDualityData)
-    # the associator matrices, and the leg-wise coherence actions
-    for name in ("_triple_action_matrix", "_triple_action"):
+    # the associator matrices, and the builder of each coherence leg
+    for name in ("_triple_action_matrix", "_trace_leg"):
         monkeypatch.setattr(repcat, name, counting(name))
     assert partial_trace(fs[0], "right").matrix == first.matrix
     second = partial_trace(fs[1], "right")
