@@ -24,7 +24,8 @@ import os
 import sys
 
 from quasihopf import intcoint, modtrace, qhspec, sympferm
-from quasihopf.exactmath import format_scalar, parse_scalar
+from quasihopf.exactmath import (
+    MAX_CONDUCTOR, cyclotomic_polynomial, format_scalar, parse_scalar)
 from quasihopf.qha import QuasiHopfError, check_axioms
 from quasihopf.repcat import regular_module, trivial_module
 from quasihopf.report import Check
@@ -189,6 +190,17 @@ def _positive_int(text):
     return value
 
 
+def _conductor(text):
+    """argparse type for --field: a conductor the scalar tables allow."""
+    try:
+        value = int(text)
+        cyclotomic_polynomial(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a conductor from 1 to {MAX_CONDUCTOR}, got {text!r}") from None
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="quasihopf",
@@ -225,7 +237,7 @@ def main(argv=None):
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--beta", required=True,
                    help="scalar, e.g. z8^7 (beta^4 must equal (-1)^N)")
-    p.add_argument("--field", type=int, default=8,
+    p.add_argument("--field", type=_conductor, default=8,
                    help="conductor of the scalar field (default 8)")
     p.add_argument("--emit-spec", metavar="PATH",
                    help="write the built algebra in the spec format")

@@ -54,11 +54,18 @@ def _poly_divide_exact(num, den):
     return out
 
 
+# The reduction table of Q(zeta_n) holds (phi(n) - 1) * phi(n) ints, about
+# a million at n = 1000; a larger conductor is refused before it is built.
+MAX_CONDUCTOR = 1000
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
     if n < 1:
         raise ValueError("conductor must be positive")
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor {n} exceeds the maximum {MAX_CONDUCTOR}")
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -720,6 +727,41 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def kron_sum(n, shapes, terms):
+    """Sum_t c_t M_t1 (x) ... (x) M_tk over terms (c_t, (M_t1, ..., M_tk)),
+    k >= 1 and M_ti of shape shapes[i], with row-major indices: row
+    (r1, r2, r3) is (r1 * R2 + r2) * R3 + r3, and likewise for columns.
+    No terms give the zero matrix of the product shape.
+
+    One kernel product per factor, from the last inward.  acc has one row
+    per term and the flattened (row, col) of its product so far as columns,
+    starting from the column of the c_t.  The factor's entries, one column
+    per term, times acc extend each row by that factor; the first factor's
+    rows are not split by term, so that product also sums over t.
+    """
+    terms = [(c, ms) for c, ms in terms if c]
+    acc = SparseMatrix(n, len(terms), 1,
+                       {(t, 0): c for t, (c, _) in enumerate(terms)})
+    rows = cols = 1
+    for i in range(len(shapes) - 1, -1, -1):
+        r_i, c_i = shapes[i]
+        split = len(terms) if i else 1
+        factor = SparseMatrix(n, split * r_i * c_i, len(terms), {
+            (((t if i else 0) * r_i + r) * c_i + c, t): v
+            for t, (_, ms) in enumerate(terms)
+            for (r, c), v in ms[i].entries.items()})
+        entries = {}
+        for (trc, k), v in (factor @ acc).entries.items():
+            t, rc = divmod(trc, r_i * c_i)
+            r, c = divmod(rc, c_i)
+            rr, cc = divmod(k, cols)
+            entries[t, (r * rows + rr) * c_i * cols + c * cols + cc] = v
+        rows, cols = rows * r_i, cols * c_i
+        acc = SparseMatrix(n, split, rows * cols, entries)
+    return SparseMatrix(n, rows, cols,
+                        {divmod(k, cols): v for (_, k), v in acc.entries.items()})
 
 
 def _numerators(n, items):

@@ -361,14 +361,3 @@ def check_nakayama(H, form, gamma, side):
                 lambda i, j: form.evaluate(A.mul(sa[i], e[j]))
                 == form.evaluate(A.mul(e[j], shifted[i])))
     return report
-
-
-def convert_right_to_left(H, lam_r):
-    """(lam_r <- u) composed with S is a left cointegral.  On H.coopposite()
-    it converts a left cointegral of H into a right one."""
-    gamma = modulus(H)
-    _, _, u = derive_UVu(H, gamma.form)
-    A = H.alg
-    return LinearForm(H.n, 1, {
-        (a,): v for a in range(H.dim)
-        if (v := lam_r.evaluate(A.mul(u, H.S(A.basis(a)))))})

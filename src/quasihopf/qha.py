@@ -206,8 +206,8 @@ def derive_qp(H):
 
     The four unit identities they satisfy are checked exactly and a
     failure raises AxiomViolation (it signals inconsistent input data).
-    The two per-basis identities moving Delta through q_r and p_r are
-    checked by check_qp_coproduct_relations; check_axioms does not run them.
+    The two per-basis identities moving Delta through q_r and p_r follow
+    from the axioms and are not checked here.
     """
     A = H.alg
     one = Scalar.one(H.n)
@@ -257,34 +257,6 @@ def derive_qp(H):
         bad = ", ".join(c.name for c in report.all_failures())
         raise AxiomViolation(f"canonical element identities failed: {bad}")
     return CanonicalElements(q_r, p_r, q_l, p_l, report)
-
-
-def check_qp_coproduct_relations(H, ce):
-    """Per-basis identities moving Delta through q_r and p_r, on every basis a:
-
-        (1 (x) S^-1(a_(2))) q_r Delta(a_(1)) = (a (x) 1) q_r
-        Delta(a_(1)) p_r (1 (x) S(a_(2)))    = p_r (a (x) 1)
-    """
-    A = H.alg
-    one = H.one()
-    report = Check("coproduct-relations")
-
-    def moved(a, through):
-        acc = TensorElement(H.n, 2)
-        for (x, y), c in H.delta(A.basis(a)).coeffs.items():
-            acc = acc + through(A.basis(x), A.basis(y)).scale(c)
-        return acc
-
-    basis = [(a,) for a in range(H.dim)]
-    check_every(report, A.labels, "q_r coproduct relation", basis,
-                lambda a: moved(a, lambda x, y: A.mul(A.mul(
-                    one.tensor(H.S_inv(y)), ce.q_r), H.delta(x)))
-                == A.mul(A.basis(a).tensor(one), ce.q_r))
-    check_every(report, A.labels, "p_r coproduct relation", basis,
-                lambda a: moved(a, lambda x, y: A.mul(A.mul(
-                    H.delta(x), ce.p_r), one.tensor(H.S(y))))
-                == A.mul(ce.p_r, A.basis(a).tensor(one)))
-    return report
 
 
 def derive_UVu(H, gamma):

@@ -1,30 +1,35 @@
 """The module category of a quasi-Hopf algebra.
 
-Representations are given by one action matrix per algebra basis element;
-tensor products act through the coproduct, duals through the antipode, and
-the associator is the coassociator acting legwise.  With pivotal data the
-right duality and the double-dual identification are available, and partial
-traces are built literally as the composites
+Representations are given by one action matrix per algebra basis element,
+and act only through these matrices; there is no column-wise path.  Tensor
+products act through the coproduct, duals through the antipode, and the
+associator is the coassociator acting legwise.  With pivotal data the right
+duality and the double-dual identification are available, and partial traces
+are built literally as the composites
 
     tr_r(f): A -> A.1 -> A(C Cd) -> (A C)Cd -> (B C)Cd -> B(C Cd) -> B.1 -> B
     tr_l(g): A -> 1.A -> (Cd C)A -> Cd(C A) -> Cd(C B) -> (Cd C)B -> 1.B -> B
 
 with every coherence map realized explicitly.  Unit constraints are the
-identity on underlying coordinates.  Each coherence leg, the coassociator
+identity on underlying coordinates.  Each coherence leg is the coassociator
 (resp. its inverse) on the coevaluation columns or the evaluation rows the
-composite uses, is one integer-kernel product, and f (x) id_Cd followed by
-the sum over the Cd coordinate is two more; neither the associator matrices
-nor the map tensored with the identity of Cd is formed.  The duality data
-and the two coherence legs are cached on C, keyed by the partner module, so
-a second partial trace over the same modules pays only for f.  Each
-straightening isomorphism of phi_psi is likewise one kernel product.
+composite uses; f (x) id_Cd followed by the sum over the Cd coordinate is
+two kernel products, so neither the associator matrices nor the map
+tensored with the identity of Cd is formed.  The duality data and the two
+coherence legs are cached on C, keyed by the partner module, so a second
+partial trace over the same modules pays only for f.
+
+Every sum c_t M_t1 (x) ... (x) M_tk here (tensor actions, associators,
+f (x) g, the middle factor of Xi, the coherence legs) is one call of
+exactmath.kron_sum, and each straightening isomorphism of phi_psi is one
+kernel product.
 
 Module maps are sparse matrices tagged with source and target; every
 constructor here yields maps that pass the intertwiner check, and Hom-spaces
 are computed as exact nullspaces of the intertwining constraints.
 """
 
-from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
+from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix, kron_sum
 from quasihopf.qha import MissingPivotalData
 
 
@@ -37,13 +42,12 @@ class AlgebraMismatch(ValueError):
 
 
 class Representation:
-    """Base: a finite-dimensional module with per-basis action columns."""
+    """Base: a finite-dimensional module, one action matrix per basis element."""
 
     def __init__(self, H, dim):
         self.H = H
         self.dim = dim
         self._matrices = {}
-        self._columns = {}
         self._duality = None
         self._trace_legs = {}
 
@@ -54,30 +58,14 @@ class Representation:
             self._matrices[i] = m
         return m
 
-    def column(self, i, j):
-        """rho(e_i) e_j as a sparse dict."""
-        key = (i, j)
-        col = self._columns.get(key)
-        if col is None:
-            col = self.matrix(i).apply({j: Scalar.one(self.H.n)})
-            self._columns[key] = col
-        return col
-
     def duality(self):
         """The DualityData of this module, built once."""
         if self._duality is None:
             self._duality = DualityData(self)
         return self._duality
 
-    def act_basis(self, i, vec):
-        return self.matrix(i).apply(vec)
-
     def matrix_of_elem(self, x):
-        m = SparseMatrix(self.H.n, self.dim, self.dim)
-        for (i,), c in x.coeffs.items():
-            for (r, s), v in self.matrix(i).entries.items():
-                m.add_to(r, s, c * v)
-        return m
+        return _action(x, self)
 
     def check_is_module(self):
         """rho is a unital algebra morphism (exhaustive over basis pairs)."""
@@ -99,14 +87,7 @@ class RegularRep(Representation):
         super().__init__(H, H.dim)
 
     def _build_matrix(self, i):
-        A = self.H.alg
-        m = SparseMatrix(self.H.n, self.dim, self.dim)
-        for a in range(self.dim):
-            cell = A.table.get((i, a))
-            if cell:
-                for k, c in cell.items():
-                    m.add_to(k, a, c)
-        return m
+        return self.H.alg.left_mult_matrix(self.H.basis(i))
 
 
 class TrivialRep(Representation):
@@ -114,11 +95,7 @@ class TrivialRep(Representation):
 
     def _build_matrix(self, i):
         e = self.H.eps(self.H.basis(i))
-        m = SparseMatrix(self.H.n, self.dim, self.dim)
-        if e:
-            for j in range(self.dim):
-                m.set(j, j, e)
-        return m
+        return SparseMatrix.identity(self.H.n, self.dim).scale(e)
 
 
 class MatrixRep(Representation):
@@ -141,31 +118,7 @@ class TensorRep(Representation):
         self.right = right
 
     def _build_matrix(self, i):
-        H = self.H
-        dw = self.right.dim
-        m = SparseMatrix(H.n, self.dim, self.dim)
-        for (x, y), c in H.delta_images[i].coeffs.items():
-            mx, my = self.left.matrix(x), self.right.matrix(y)
-            for (r1, c1), v1 in mx.entries.items():
-                for (r2, c2), v2 in my.entries.items():
-                    m.add_to(r1 * dw + r2, c1 * dw + c2, c * v1 * v2)
-        return m
-
-    def act_basis(self, i, vec):
-        H = self.H
-        dw = self.right.dim
-        out = {}
-        for (x, y), c in H.delta_images[i].coeffs.items():
-            for key, val in vec.items():
-                l, r = divmod(key, dw)
-                cv = c * val
-                for l2, a in self.left.column(x, l).items():
-                    for r2, b in self.right.column(y, r).items():
-                        k2 = l2 * dw + r2
-                        cur = out.get(k2)
-                        s = cv * a * b if cur is None else cur + cv * a * b
-                        out[k2] = s
-        return {k: v for k, v in out.items() if v}
+        return _action(self.H.delta_images[i], self.left, self.right)
 
 
 class DualRep(Representation):
@@ -176,8 +129,7 @@ class DualRep(Representation):
         self.base = base
 
     def _build_matrix(self, i):
-        s_img = self.H.antipode_images[i]
-        return self.base.matrix_of_elem(s_img).transpose()
+        return self.base.matrix_of_elem(self.H.antipode_images[i]).transpose()
 
 
 class ModuleMap:
@@ -230,10 +182,10 @@ class ModuleMap:
         basis_indices = range(H.dim) if basis_indices is None else basis_indices
         columns = range(self.source.dim) if columns is None else columns
         for i in basis_indices:
+            src, tgt = self.source.matrix(i), self.target.matrix(i)
             for c in columns:
-                via_src = self.apply(self.source.column(i, c))
-                via_tgt = self.target.act_basis(i, self.apply({c: Scalar.one(H.n)}))
-                if via_src != via_tgt:
+                unit = {c: Scalar.one(H.n)}
+                if self.apply(src.apply(unit)) != tgt.apply(self.apply(unit)):
                     return False
         return True
 
@@ -279,36 +231,26 @@ def unit_elim_left(V):
     return ModuleMap(t, V, SparseMatrix.identity(V.H.n, V.dim))
 
 
-def _triple_action_matrix(H, tensor3, U, V, W):
-    dims = (U.dim, V.dim, W.dim)
-    total = dims[0] * dims[1] * dims[2]
-    m = SparseMatrix(H.n, total, total)
-    for (x, y, z), c in tensor3.coeffs.items():
-        mu, mv, mw = U.matrix(x), V.matrix(y), W.matrix(z)
-        for (r1, c1), v1 in mu.entries.items():
-            for (r2, c2), v2 in mv.entries.items():
-                v12 = v1 * v2
-                for (r3, c3), v3 in mw.entries.items():
-                    m.add_to((r1 * dims[1] + r2) * dims[2] + r3,
-                             (c1 * dims[1] + c2) * dims[2] + c3,
-                             c * v12 * v3)
-    return m
+def _action(x, *modules):
+    """The matrix of x, an element of H^(x)k, on the modules' tensor product:
+    sum c rho_1(x_1) (x) ... (x) rho_k(x_k)."""
+    return kron_sum(modules[0].H.n, [(M.dim, M.dim) for M in modules],
+                    [(c, tuple(M.matrix(i) for M, i in zip(modules, key)))
+                     for key, c in x.coeffs.items()])
 
 
 def associator(U, V, W):
     """U (x) (V (x) W) -> (U (x) V) (x) W, acting by the coassociator."""
-    H = U.H
     src = TensorRep(U, TensorRep(V, W))
     tgt = TensorRep(TensorRep(U, V), W)
-    return ModuleMap(src, tgt, _triple_action_matrix(H, H.coassociator, U, V, W))
+    return ModuleMap(src, tgt, _action(U.H.coassociator, U, V, W))
 
 
 def associator_inv(U, V, W):
     """(U (x) V) (x) W -> U (x) (V (x) W), acting by the inverse coassociator."""
-    H = U.H
     src = TensorRep(TensorRep(U, V), W)
     tgt = TensorRep(U, TensorRep(V, W))
-    return ModuleMap(src, tgt, _triple_action_matrix(H, H.coassociator_inv, U, V, W))
+    return ModuleMap(src, tgt, _action(U.H.coassociator_inv, U, V, W))
 
 
 class DualityData:
@@ -322,16 +264,14 @@ class DualityData:
         self.dual = DualRep(V)
         unit = unit_object(H)
 
-        alpha_m = V.matrix_of_elem(H.alpha)
-        ev = SparseMatrix(n, 1, d * d)
-        for (j, k), c in alpha_m.entries.items():
-            ev.set(0, j * d + k, c)
+        ev = SparseMatrix(n, 1, d * d, {
+            (0, j * d + k): c
+            for (j, k), c in V.matrix_of_elem(H.alpha).entries.items()})
         self.ev_left = ModuleMap(TensorRep(self.dual, V), unit, ev)
 
-        beta_m = V.matrix_of_elem(H.beta)
-        coev = SparseMatrix(n, d * d, 1)
-        for (k, i), c in beta_m.entries.items():
-            coev.set(k * d + i, 0, c)
+        coev = SparseMatrix(n, d * d, 1, {
+            (k * d + i, 0): c
+            for (k, i), c in V.matrix_of_elem(H.beta).entries.items()})
         self.coev_left = ModuleMap(unit, TensorRep(V, self.dual), coev)
 
         self.ev_right = None
@@ -340,19 +280,15 @@ class DualityData:
         if H.pivotal is not None:
             p = H.pivotal
             sag = H.alg.mul(H.S(H.alpha), p.pivot)
-            m = V.matrix_of_elem(sag)
-            ev = SparseMatrix(n, 1, d * d)
-            for (j, k), c in m.entries.items():
-                ev.set(0, k * d + j, c)
+            ev = SparseMatrix(n, 1, d * d, {
+                (0, k * d + j): c
+                for (j, k), c in V.matrix_of_elem(sag).entries.items()})
             self.ev_right = ModuleMap(TensorRep(V, self.dual), unit, ev)
 
-            sb = V.matrix_of_elem(H.S(H.beta))
-            gi = V.matrix_of_elem(p.pivot_inv)
-            coev = SparseMatrix(n, d * d, 1)
-            for (i, j), c in sb.entries.items():
-                for (k, i2), e in gi.entries.items():
-                    if i2 == i:
-                        coev.add_to(j * d + k, 0, c * e)
+            # the action of g^-1 S(beta)
+            gsb = V.matrix_of_elem(p.pivot_inv) @ V.matrix_of_elem(H.S(H.beta))
+            coev = SparseMatrix(n, d * d, 1, {
+                (j * d + k, 0): c for (k, j), c in gsb.entries.items()})
             self.coev_right = ModuleMap(unit, TensorRep(self.dual, V), coev)
 
             self.double_dual = ModuleMap(
@@ -426,9 +362,8 @@ def _trace_leg(C, side, partner, incoming):
     for the partner's term u (x on the right, z on the left) and
     w = rho(u1) . pair . rho(u2)^T, with u1 (x) u2 the terms acting on the
     C (x) Cd (resp. Cd (x) C) pair; for an outgoing leg the transposes move
-    to rho(u1).  Each w is two small kernel products, and the leg one more:
-    the partner's action entries, one column per term, times c w, one row
-    per term.
+    to rho(u1).  Each w is two small kernel products, and the leg one
+    kron_sum.
     """
     H = C.H
     n = H.n
@@ -446,25 +381,15 @@ def _trace_leg(C, side, partner, incoming):
                  for (x, y, z), c in coherence.coeffs.items()]
     pair = SparseMatrix(n, dc, dc, {divmod(r if incoming else c, dc): v
                                     for (r, c), v in pair.matrix.entries.items()})
-    size = len(terms)
-    action, coeffs, products = {}, {}, {}
-    for t, (u, first, second, c) in enumerate(terms):
-        coeffs[t, t] = c
-        for (r, col), v in partner.matrix(u).entries.items():
-            action[r * dp + col, t] = v
-        if incoming:
-            w = first @ pair @ second.transpose()
-        else:
-            w = first.transpose() @ pair @ second
-        for (a, b), v in w.entries.items():
-            products[t, a * dc + b] = v
-    leg = SparseMatrix(n, dp * dp, size, action) @ (
-        SparseMatrix(n, size, size, coeffs)
-        @ SparseMatrix(n, size, dc * dc, products))
+    leg = kron_sum(n, [(dp, dp), (dc, dc)], [
+        (c, (partner.matrix(u),
+             first @ pair @ second.transpose() if incoming
+             else first.transpose() @ pair @ second))
+        for u, first, second, c in terms])
     entries = {}
-    for (rc, ab), v in leg.entries.items():
-        r, col = divmod(rc, dp)
-        a, b = divmod(ab, dc)
+    for (ra, colb), v in leg.entries.items():
+        r, a = divmod(ra, dc)
+        col, b = divmod(colb, dc)
         if side == "right":
             s, k = (r if incoming else col) * dc + a, b
         else:
@@ -480,13 +405,11 @@ def _trace_leg(C, side, partner, incoming):
 
 def _tensor_map(f, g):
     n = f.source.H.n
-    s2, t2 = g.source.dim, g.target.dim
-    m = SparseMatrix(n, f.target.dim * t2, f.source.dim * s2)
-    for (i1, j1), a in f.matrix.entries.items():
-        for (i2, j2), b in g.matrix.entries.items():
-            m.set(i1 * t2 + i2, j1 * s2 + j2, a * b)
     return ModuleMap(TensorRep(f.source, g.source),
-                     TensorRep(f.target, g.target), m)
+                     TensorRep(f.target, g.target),
+                     kron_sum(n, [(f.target.dim, f.source.dim),
+                                  (g.target.dim, g.source.dim)],
+                              [(Scalar.one(n), (f.matrix, g.matrix))]))
 
 
 def phi_psi(H, V):
@@ -559,25 +482,19 @@ def xi(H, W, a, m, maps=None):
     H-linear endomorphisms of H (x) W.
     """
     phi_r, psi_r, _, _ = maps if maps is not None else phi_psi(H, W)
-    mid = ModuleMap(psi_r.target, phi_r.source,
-                    _kron(H.n, H.alg.right_mult_matrix(a), m))
+    mid = ModuleMap(psi_r.target, phi_r.source, kron_sum(
+        H.n, [(H.dim, H.dim), (W.dim, W.dim)],
+        [(Scalar.one(H.n), (H.alg.right_mult_matrix(a), m))]))
     return phi_r @ mid @ psi_r
 
 
 def xi_left(H, W, a, m, maps=None):
     """The left-handed analogue phi_l . (m (x) r_a) . psi_l in End(W (x) H)."""
     _, _, phi_l, psi_l = maps if maps is not None else phi_psi(H, W)
-    mid = ModuleMap(psi_l.target, phi_l.source,
-                    _kron(H.n, m, H.alg.right_mult_matrix(a)))
+    mid = ModuleMap(psi_l.target, phi_l.source, kron_sum(
+        H.n, [(W.dim, W.dim), (H.dim, H.dim)],
+        [(Scalar.one(H.n), (m, H.alg.right_mult_matrix(a)))]))
     return phi_l @ mid @ psi_l
-
-
-def _kron(n, a, b):
-    m = SparseMatrix(n, a.rows * b.rows, a.cols * b.cols)
-    for (i1, j1), x in a.entries.items():
-        for (i2, j2), y in b.entries.items():
-            m.set(i1 * b.rows + i2, j1 * b.cols + j2, x * y)
-    return m
 
 
 def hom_space(M, P):

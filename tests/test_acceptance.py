@@ -213,7 +213,7 @@ def test_criterion_9_property_suites():
              for _ in range(2)}
         fmat = SparseMatrix(H.n, hh.dim, H.dim)
         for h in range(H.dim):
-            for k, c in hh.act_basis(h, v).items():
+            for k, c in hh.matrix(h).apply(v).items():
                 fmat.add_to(k, h, c)
         f = ModuleMap(reg, hh, fmat)
         g = ModuleMap(reg, reg,

@@ -13,12 +13,14 @@ from quasihopf.exactmath import (
     cyclotomic_polynomial,
     field_degree,
     format_scalar,
+    kron_sum,
     nullspace,
     parse_scalar,
     rank,
     solve_unique,
 )
 
+from .helpers import q_fixture
 from .oracles import dense_nullspace, dense_rank
 
 
@@ -439,3 +441,95 @@ def test_sparse_kernel_refuses_mixed_conductors():
         a @ SparseMatrix.identity(4, 2)
     with pytest.raises(ValueError, match="conductor mismatch"):
         a.apply({0: Scalar.one(4)})
+
+
+# -- kron_sum against the Scalar-loop Kronecker sums -------------------------
+#
+# The reference is how the module category formed sum c_t M_t1 (x) ... (x)
+# M_tk before kron_sum: one nested loop per factor over the entries, one
+# Scalar product c * v1 * ... * vk per entry tuple, added into place.
+
+
+def _scalar_kron_sum(n, shapes, terms):
+    rows = cols = 1
+    for r, c in shapes:
+        rows, cols = rows * r, cols * c
+    m = SparseMatrix(n, rows, cols)
+    for c, factors in terms:
+        partial = [((0, 0), c)]
+        for (r_i, c_i), f in zip(shapes, factors):
+            partial = [((r * r_i + r2, col * c_i + c2), v * w)
+                       for (r, col), v in partial
+                       for (r2, c2), w in f.entries.items()]
+        for (r, col), v in partial:
+            m.add_to(r, col, v)
+    return m
+
+
+def _assert_kron_sum(n, shapes, terms):
+    got = kron_sum(n, shapes, terms)
+    want = _scalar_kron_sum(n, shapes, terms)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    _assert_kernel_result(got.entries, want.entries, n)
+    return got
+
+
+@st.composite
+def kron_cases(draw):
+    n = draw(st.sampled_from([1, 4, 8]))
+    values = matrix_values(n)
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=3))
+
+    def matrix(rows, cols):
+        m = SparseMatrix(n, rows, cols)
+        for cell in draw(st.sets(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                           st.integers(0, max(cols - 1, 0))),
+                                 max_size=rows * cols)):
+            m.set(*cell, draw(values))
+        return m
+
+    coeffs = st.one_of(st.just(Scalar.zero(n)), values)
+    terms = [(draw(coeffs), tuple(matrix(*s) for s in shapes))
+             for _ in range(draw(st.integers(0, 3)))]
+    return n, shapes, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(kron_cases())
+def test_kron_sum_matches_scalar_loops(case):
+    _assert_kron_sum(*case)
+
+
+def test_kron_sum_on_the_coherence_terms_of_q1():
+    """One, two and three factors with the regular action of Q(1, z8):
+    beta, each Delta(e_i) (genuinely cyclotomic coefficients) and the
+    coassociator and its inverse; plus a zero coefficient and no terms."""
+    H = q_fixture(1, 1).H
+    A = H.alg
+    n, d = H.n, H.dim
+    reg = [A.left_mult_matrix(A.basis(i)) for i in range(d)]
+
+    def terms(x):
+        return [(c, tuple(reg[i] for i in key)) for key, c in x.coeffs.items()]
+
+    cyclotomic = [c for x in H.delta_images for c in x.coeffs.values()
+                  if any(c.num[1:])]
+    assert cyclotomic
+    square = (d, d)
+    _assert_kron_sum(n, [square], terms(H.beta))
+    for x in H.delta_images:
+        _assert_kron_sum(n, [square] * 2, terms(x))
+    for x in (H.coassociator, H.coassociator_inv):
+        got = _assert_kron_sum(n, [square] * 3, terms(x))
+        assert got.nnz() > 0
+    # a zero coefficient adds nothing
+    some = terms(H.delta_images[1])
+    with_zero = some + [(Scalar.zero(n), (reg[2], reg[3]))]
+    assert _assert_kron_sum(n, [square] * 2, with_zero) == \
+        kron_sum(n, [square] * 2, some)
+    # no terms: the zero matrix of the product shape
+    for shapes in ([(2, 3)], [(2, 3), (4, 1)], [(2, 3), (4, 1), (1, 5)]):
+        empty = _assert_kron_sum(n, shapes, [])
+        assert empty.entries == {}
+    assert (empty.rows, empty.cols) == (8, 15)

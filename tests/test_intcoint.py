@@ -4,7 +4,7 @@ from quasihopf import cli, intcoint, qha, qhspec
 from quasihopf.algcore import LinearForm
 from quasihopf.exactmath import Scalar
 from quasihopf.modtrace import from_symmetrised_cointegral, verify_reduction
-from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra
+from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra, derive_UVu
 
 from .helpers import (
     ADMISSIBLE,
@@ -103,13 +103,24 @@ def test_symmetrised_value_at_principal_beta():
     assert sym == LinearForm(8, 1, {(fx.index(1, 1, 3),): minus_2i})
 
 
+def _convert_right_to_left(H, lam_r):
+    """(lam_r <- u) composed with S is a left cointegral.  On H.coopposite()
+    it converts a left cointegral of H into a right one."""
+    gamma = intcoint.modulus(H)
+    _, _, u = derive_UVu(H, gamma.form)
+    A = H.alg
+    return LinearForm(H.n, 1, {
+        (a,): v for a in range(H.dim)
+        if (v := lam_r.evaluate(A.mul(u, H.S(A.basis(a)))))})
+
+
 def test_right_to_left_conversion():
     fx, co, _ = cointegral_bundle(1, 7)
     H = fx.H
     left = intcoint.cointegrals(H, "left")
-    converted = intcoint.convert_right_to_left(H, co.form)
+    converted = _convert_right_to_left(H, co.form)
     assert proportional(converted, left.form)
-    back = intcoint.convert_right_to_left(H.coopposite(), left.form)
+    back = _convert_right_to_left(H.coopposite(), left.form)
     assert proportional(back, co.form)
 
 

@@ -495,7 +495,7 @@ def test_cyclicity_between_h_and_h_tensor_h():
              for _ in range(2)}
         fmat = SparseMatrix(H.n, dim2, H.dim)
         for h in range(H.dim):
-            for k, c in hh.act_basis(h, v).items():
+            for k, c in hh.matrix(h).apply(v).items():
                 fmat.add_to(k, h, c)
         f = ModuleMap(reg, hh, fmat)
         # g: H (x) H -> H built from the straightening presentation

@@ -1,6 +1,6 @@
 import pytest
 
-from quasihopf.algcore import AlgebraData, LinearForm, flip
+from quasihopf.algcore import AlgebraData, LinearForm, TensorElement, flip
 from quasihopf.exactmath import RowReducer, Scalar
 from quasihopf.qha import (
     AxiomViolation,
@@ -8,10 +8,11 @@ from quasihopf.qha import (
     QuasiHopfAlgebra,
     _generating_set,
     check_axioms,
-    check_qp_coproduct_relations,
     derive_UVu,
     derive_qp,
 )
+
+from quasihopf.report import Check, check_every
 
 from .helpers import q_fixture, q_principal, sweedler, z2, z4
 
@@ -203,10 +204,40 @@ def test_qp_closed_forms():
     assert ce.p_l == bm.tensor(unit) + A.mul(e1, bm).tensor(tail_lm)
 
 
+def _check_qp_coproduct_relations(H, ce):
+    """Per-basis identities moving Delta through q_r and p_r, on every basis a:
+
+        (1 (x) S^-1(a_(2))) q_r Delta(a_(1)) = (a (x) 1) q_r
+        Delta(a_(1)) p_r (1 (x) S(a_(2)))    = p_r (a (x) 1)
+    """
+    A = H.alg
+    one = H.one()
+    report = Check("coproduct-relations")
+
+    def moved(a, through):
+        acc = TensorElement(H.n, 2)
+        for (x, y), c in H.delta(A.basis(a)).coeffs.items():
+            acc = acc + through(A.basis(x), A.basis(y)).scale(c)
+        return acc
+
+    basis = [(a,) for a in range(H.dim)]
+    check_every(report, A.labels, "q_r coproduct relation", basis,
+                lambda a: moved(a, lambda x, y: A.mul(A.mul(
+                    one.tensor(H.S_inv(y)), ce.q_r), H.delta(x)))
+                == A.mul(A.basis(a).tensor(one), ce.q_r))
+    check_every(report, A.labels, "p_r coproduct relation", basis,
+                lambda a: moved(a, lambda x, y: A.mul(A.mul(
+                    H.delta(x), ce.p_r), one.tensor(H.S(y))))
+                == A.mul(ce.p_r, A.basis(a).tensor(one)))
+    return report
+
+
 def test_qp_coproduct_relations():
+    """A regression check of derive_qp: its q_r and p_r satisfy the two
+    per-basis identities that the axioms imply."""
     fx = q_fixture(1, 7)
-    assert check_qp_coproduct_relations(fx.H, fx.H.canonical_elements()).passed
-    assert check_qp_coproduct_relations(z2(), z2().canonical_elements()).passed
+    assert _check_qp_coproduct_relations(fx.H, fx.H.canonical_elements()).passed
+    assert _check_qp_coproduct_relations(z2(), z2().canonical_elements()).passed
 
 
 def test_qp_rejects_corrupt_data():

@@ -351,6 +351,51 @@ def test_cli_closed_stdout_exits_1():
     assert proc.stderr == b""
 
 
+def _run_capped(argv):
+    """Run the CLI in a child process whose address space is capped at
+    1 GiB, so a large allocation ends it with a MemoryError traceback."""
+    import os
+    import pathlib
+    import resource
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, "-m", "quasihopf.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit, timeout=120)
+
+
+def test_cli_refuses_a_conductor_above_the_maximum_in_a_spec(tmp_path):
+    """field 20011 would need a reduction table of 20010 * 20009 ints; the
+    first scalar line is a parse error instead."""
+    path = tmp_path / "big_field.qhs"
+    path.write_text("field 20011\nbasis 1\nunit 0 1\n")
+    proc = _run_capped(["check", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "line 3" in proc.stderr
+    assert "conductor 20011 exceeds the maximum 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_sympferm_refuses_a_conductor_above_the_maximum():
+    proc = _run_capped(["sympferm", "--n", "1", "--beta", "z8^7",
+                        "--field", "20011"])
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --field: must be a conductor from 1 to 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # tokens a mutation may put in place of a spec token: indices in and out of
 # range, scalars of other fields, malformed scalars, keywords and junk
 _MUTATION_TOKENS = ("0", "1", "2", "3", "5", "-1", "1/2", "1/0", "0/3", "z8",
@@ -385,7 +430,7 @@ def _mutated_spec(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=_mutated_spec(),
        command=st.sampled_from(("check", "integrals", "cointegrals",
-                                "modtrace")))
+                                "modtrace", "verify")))
 def test_cli_mutated_specs_exit_cleanly(text, command):
     """A mutated spec ends in a documented exit code, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -225,11 +225,12 @@ def _reference_phi_psi(H, V):
     reg = repcat.RegularRep(H)
     triv = repcat.TrivialRep(H, V.dim)
     dv = V.dim
+    one = Scalar.one(H.n)
 
     def elem_column(x, j):
         out = {}
         for (i,), c in x.coeffs.items():
-            for k, v in V.column(i, j).items():
+            for k, v in V.matrix(i).apply({j: one}).items():
                 out[k] = c * v if k not in out else out[k] + c * v
         return {k: v for k, v in out.items() if v}
 
@@ -541,11 +542,15 @@ def test_second_partial_trace_reuses_the_coherence_legs(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(repcat, "DualityData", CountingDualityData)
-    # the associator matrices, and the builder of each coherence leg
-    for name in ("_triple_action_matrix", "_trace_leg"):
+    # every tensor-product matrix (associators, tensor actions, legs), and
+    # the builder of each coherence leg
+    for name in ("kron_sum", "_trace_leg"):
         monkeypatch.setattr(repcat, name, counting(name))
     assert partial_trace(fs[0], "right").matrix == first.matrix
     second = partial_trace(fs[1], "right")
     assert built == []
+    # the counters see the builds of a trace whose legs are not cached yet
+    partial_trace(fs[1], "left")
+    assert "kron_sum" in built and "_trace_leg" in built
     monkeypatch.undo()
     assert second.matrix == _composite_trace(fs[1], "right").matrix
