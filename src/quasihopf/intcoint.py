@@ -52,7 +52,7 @@ side that was asked for.
 from dataclasses import dataclass
 
 from quasihopf.algcore import LinearForm, TensorElement
-from quasihopf.exactmath import RowReducer, Scalar
+from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
 from quasihopf.qha import QuasiHopfError, derive_UVu
 from quasihopf.report import Check, check_every
 
@@ -261,6 +261,21 @@ def check_symmetrised(H, sym, gamma, side):
     is the closed-form reduction condition, as (eps (x) id (x) id)(Phi) =
     1 (x) 1 and S(1) = 1 follow from the axioms check_axioms proves.
 
+    The left-hand side is linear in each leg, so sym is contracted into the
+    first leg before anything is multiplied: with q_r = sum c_q q1 (x) q2,
+    p_r = sum c_p p1 (x) p2 and Delta(h) = sum D(h)_ab e_a (x) e_b,
+
+        (sym (x) id)(q_r Delta(h) p_r)
+            = sum_(q2, p2) q2 [sum_ab D(h)_ab s_(q2, p2)(a) e_b] p2,
+        s_(q2, p2)(a) = sum c_q c_p sym(q1 e_a p1)
+
+    over the terms with those second legs, and sym(q1 e_a p1) is read from
+    the table as sum_k T[q1, a][k] sym(e_k e_p1).  That is two kernel
+    products for every h at once: (rows (b, h), columns a) @ (rows a,
+    columns (q2, p2)), re-keyed to rows ((q2, p2), b) and columns h, then
+    (rows k, columns ((q2, p2), b): the coordinates of q2 e_b p2) @ that;
+    column h of the result is the left-hand side at h.
+
     The first failing basis label (None on success) is memoized on H by
     side and by snapshots of gamma's and sym's coefficients, so a form
     changed after its proof is checked again.
@@ -275,25 +290,61 @@ def check_symmetrised(H, sym, gamma, side):
     Hq = side_algebra(H, side)
     A = H.alg
     p = Hq.require_pivotal()
-    ce = Hq.canonical_elements()
+    lhs = _first_leg_contracted(Hq, sym)
     # gamma(Phi_1) Phi_2 (x) g^-1 S(Phi_3), with the third leg precomputed
     terms = [(w, p2, p3) for (p1, p2, p3), c in Hq.coassociator.coeffs.items()
              if (w := gamma.of(A.basis(p1)) * c)]
     tails = {p3: A.mul(p.pivot_inv, Hq.S(A.basis(p3))) for _, _, p3 in terms}
 
     def holds(h):
-        mid = A.mul(A.mul(ce.q_r, Hq.delta(A.basis(h))), ce.p_r)
         rhs = TensorElement(H.n, 1)
         for w, p2, p3 in terms:
             v = w * A.form_on_product(sym, p2, h)
             if v:
                 rhs = rhs + tails[p3].scale(v)
-        return sym.contract(mid, (0,)) == rhs
+        return TensorElement.wrap(H.n, 1, lhs.get(h, {})) == rhs
 
     entry = check_every(report, A.labels, "characterisation",
                         [(h,) for h in range(H.dim)], holds)
     H._symmetrised[key] = entry.witness
     return report
+
+
+def _first_leg_contracted(Hq, sym):
+    """{h: coordinates of (sym (x) id)(q_r Delta(e_h) p_r)} on Hq, for every
+    basis h at once, as the two kernel products check_symmetrised describes;
+    an h whose value is zero has no entry."""
+    A = Hq.alg
+    n, dim = Hq.n, Hq.dim
+    ce = Hq.canonical_elements()
+    pairs = {P: j for j, P in enumerate(dict.fromkeys(
+        (q2, p2) for _, q2 in ce.q_r.coeffs for _, p2 in ce.p_r.coeffs))}
+    # x -> sym(x e_p1) per first leg p1, then sym(q1 e_a p1) for every a
+    after = {p1: LinearForm(n, 1, {(k,): A.form_on_product(sym, k, p1)
+                                   for k in range(dim)})
+             for p1 in dict.fromkeys(p1 for p1, _ in ce.p_r.coeffs)}
+    values = {(q1, p1): [A.form_on_product(f, q1, a) for a in range(dim)]
+              for q1 in dict.fromkeys(q1 for q1, _ in ce.q_r.coeffs)
+              for p1, f in after.items()}
+    s = SparseMatrix(n, dim, len(pairs))
+    for (q1, q2), cq in ce.q_r.coeffs.items():
+        for (p1, p2), cp in ce.p_r.coeffs.items():
+            for a, v in enumerate(values[q1, p1]):
+                if v:
+                    s.add_to(a, pairs[q2, p2], cq * cp * v)
+    firsts = SparseMatrix(n, dim * dim, dim, {
+        (b * dim + h, a): c for h, d in enumerate(Hq.delta_images)
+        for (a, b), c in d.coeffs.items()}) @ s
+    stack = SparseMatrix(n, dim, len(pairs) * dim, {
+        (k, j * dim + b): c for (q2, p2), j in pairs.items()
+        for b in range(dim) for (k,), c in A.mul(
+            A.mul(A.basis(q2), A.basis(b)), A.basis(p2)).coeffs.items()})
+    lhs = {}
+    for (k, h), v in (stack @ SparseMatrix(n, len(pairs) * dim, dim, {
+            (j * dim + bh // dim, bh % dim): v
+            for (bh, j), v in firsts.entries.items()})).entries.items():
+        lhs.setdefault(h, {})[(k,)] = v
+    return lhs
 
 
 def gram_matrix_rank(H, form):

@@ -18,8 +18,9 @@ construction on H is the right one on H.coopposite(), which is exact
 because q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21 (pinned by
 test_opposite_and_coopposite).  ReductionChecker is written for the left
 side, and verify_reduction runs it on H^cop for the right one.  repcat's
-left partial trace, left straightening maps and xi_left stay as the
-independent H-side reference the checker is tested against.
+left partial trace and left straightening maps, composed by the tests'
+xi_left, stay as the independent H-side reference the checker is tested
+against.
 
 This module provides:
 

@@ -67,18 +67,6 @@ class Representation:
     def matrix_of_elem(self, x):
         return _action(x, self)
 
-    def check_is_module(self):
-        """rho is a unital algebra morphism (exhaustive over basis pairs)."""
-        A = self.H.alg
-        if self.matrix_of_elem(A.unit) != SparseMatrix.identity(self.H.n, self.dim):
-            return False
-        for i in range(self.H.dim):
-            for j in range(self.H.dim):
-                prod = A.mul(A.basis(i), A.basis(j))
-                if self.matrix(i) @ self.matrix(j) != self.matrix_of_elem(prod):
-                    return False
-        return True
-
 
 class RegularRep(Representation):
     """H acting on itself by left multiplication."""
@@ -210,27 +198,6 @@ def unit_object(H):
     return TrivialRep(H, 1)
 
 
-def unit_intro_right(V):
-    """V -> V (x) 1, identity on underlying coordinates."""
-    t = TensorRep(V, unit_object(V.H))
-    return ModuleMap(V, t, SparseMatrix.identity(V.H.n, V.dim))
-
-
-def unit_elim_right(V):
-    t = TensorRep(V, unit_object(V.H))
-    return ModuleMap(t, V, SparseMatrix.identity(V.H.n, V.dim))
-
-
-def unit_intro_left(V):
-    t = TensorRep(unit_object(V.H), V)
-    return ModuleMap(V, t, SparseMatrix.identity(V.H.n, V.dim))
-
-
-def unit_elim_left(V):
-    t = TensorRep(unit_object(V.H), V)
-    return ModuleMap(t, V, SparseMatrix.identity(V.H.n, V.dim))
-
-
 def _action(x, *modules):
     """The matrix of x, an element of H^(x)k, on the modules' tensor product:
     sum c rho_1(x_1) (x) ... (x) rho_k(x_k)."""
@@ -293,20 +260,6 @@ class DualityData:
 
             self.double_dual = ModuleMap(
                 V, DualRep(self.dual), V.matrix_of_elem(p.pivot))
-
-
-def duals_and_pivot(V):
-    data = DualityData(V)
-    if V.H.pivotal is None:
-        raise MissingPivotalData("right duality needs pivotal data")
-    return data
-
-
-def dual_map(f, dual_source=None, dual_target=None):
-    """The transpose of f, as a map between the dual modules."""
-    ds = DualRep(f.source) if dual_source is None else dual_source
-    dt = DualRep(f.target) if dual_target is None else dual_target
-    return ModuleMap(dt, ds, f.matrix.transpose())
 
 
 def partial_trace(f, side="right"):
@@ -486,15 +439,6 @@ def xi(H, W, a, m, maps=None):
         H.n, [(H.dim, H.dim), (W.dim, W.dim)],
         [(Scalar.one(H.n), (H.alg.right_mult_matrix(a), m))]))
     return phi_r @ mid @ psi_r
-
-
-def xi_left(H, W, a, m, maps=None):
-    """The left-handed analogue phi_l . (m (x) r_a) . psi_l in End(W (x) H)."""
-    _, _, phi_l, psi_l = maps if maps is not None else phi_psi(H, W)
-    mid = ModuleMap(psi_l.target, phi_l.source, kron_sum(
-        H.n, [(W.dim, W.dim), (H.dim, H.dim)],
-        [(Scalar.one(H.n), (m, H.alg.right_mult_matrix(a)))]))
-    return phi_l @ mid @ psi_l
 
 
 def hom_space(M, P):

@@ -1,7 +1,7 @@
 import pytest
 
 from quasihopf import cli, intcoint, qha, qhspec
-from quasihopf.algcore import LinearForm
+from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import Scalar
 from quasihopf.modtrace import from_symmetrised_cointegral, verify_reduction
 from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra, derive_UVu
@@ -14,6 +14,7 @@ from .helpers import (
     q_principal,
     sweedler,
     z2,
+    z4,
 )
 from .oracles import dense_nullspace, dense_rank
 
@@ -273,3 +274,112 @@ def test_form_on_product_matches_multiplication(make):
             for j in range(H.dim):
                 assert A.form_on_product(form, i, j) == \
                     form.evaluate(A.mul(A.basis(i), A.basis(j)))
+
+
+def _reference_mid(Hq, h):
+    """q_r Delta(e_h) p_r on Hq, as an order-2 element."""
+    A = Hq.alg
+    ce = Hq.canonical_elements()
+    return A.mul(A.mul(ce.q_r, Hq.delta(A.basis(h))), ce.p_r)
+
+
+def _reference_characterisation(H, sym, gamma, side):
+    """The per-basis loop that check_symmetrised replaced: q_r Delta(h) p_r
+    built as an order-2 element, sym contracted into its first leg after
+    the products, against gamma(Phi_1) sym(Phi_2 h) g^-1 S(Phi_3), on
+    side_algebra(H, side).  Returns the first failing basis label, or None."""
+    Hq = intcoint.side_algebra(H, side)
+    A = H.alg
+    p = Hq.require_pivotal()
+    for h in range(H.dim):
+        mid = _reference_mid(Hq, h)
+        rhs = TensorElement(H.n, 1)
+        for (p1, p2, p3), c in Hq.coassociator.coeffs.items():
+            v = gamma.of(A.basis(p1)) * c \
+                * sym.evaluate(A.mul(A.basis(p2), A.basis(h)))
+            if v:
+                rhs = rhs + A.mul(p.pivot_inv, Hq.S(A.basis(p3))).scale(v)
+        if sym.contract(mid, (0,)) != rhs:
+            return A.labels[h]
+    return None
+
+
+def _assert_characterisation_matches(H, sym, gamma):
+    """check_symmetrised and the reference agree on passed and witness on
+    both sides; returns the witnesses, right side first."""
+    got = []
+    for side in ("right", "left"):
+        H._symmetrised.clear()  # the computation, not a memoized verdict
+        entry = intcoint.check_symmetrised(H, sym, gamma, side).find(
+            "characterisation")
+        want = _reference_characterisation(H, sym, gamma, side)
+        assert (entry.passed, entry.witness) == (want is None, want), side
+        got.append(want)
+    return tuple(got)
+
+
+_CHARACTERISED = {
+    "z2": z2, "z4": z4, "sweedler": sweedler,
+    **{f"q1-z8^{k}": (lambda k=k: q_fixture(1, k).H) for k in (1, 3, 5, 7)},
+    **{f"q2-z8^{k}": (lambda k=k: q_fixture(2, k).H) for k in (2, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHARACTERISED))
+def test_characterisation_matches_the_per_basis_reference(name):
+    """The symmetrised right and left cointegrals, with gamma the modulus."""
+    H = _CHARACTERISED[name]()
+    gamma = intcoint.modulus(H)
+    for side in ("right", "left"):
+        sym = intcoint.symmetrise(H, intcoint.cointegrals(H, side))
+        got = _assert_characterisation_matches(H, sym, gamma)
+        if name == "sweedler":
+            # not unimodular: each symmetrised cointegral is one-sided
+            assert got == ((None, "gx") if side == "right" else ("x", None))
+        else:
+            assert got == (None, None)
+
+
+def test_characterisation_of_perturbed_forms_matches_the_reference():
+    """lam + e*_i for every basis i of Q(1, z8^7): the witnesses depend on
+    the side, and e*_14 first fails at the late index 14."""
+    fx = q_fixture(1, 7)
+    H = fx.H
+    labels = H.alg.labels
+    gamma = intcoint.modulus(H)
+    got = {}
+    for i in range(H.dim):
+        form = fx.symmetrised_cointegral + LinearForm(
+            H.n, 1, {(i,): Scalar.one(H.n)})
+        got[labels[i]] = _assert_characterisation_matches(H, form, gamma)
+    assert got["f1+f1-K2"] == ("f1+f1-K2", "f1+f1-K2")
+    assert got["f1-K3"] == ("f1+f1-", "f1-K3")
+    assert got["f1+f1-K3"] == (None, None)   # a multiple of lam
+    assert sum(w != (None, None) for w in got.values()) == H.dim - 1
+
+
+def test_characterisation_fails_late_on_q2():
+    fx = q_fixture(2, 2)
+    H = fx.H
+    form = fx.symmetrised_cointegral + LinearForm(
+        H.n, 1, {(62,): Scalar.one(H.n)})
+    assert _assert_characterisation_matches(
+        H, form, intcoint.modulus(H)) == (H.alg.labels[62],) * 2
+
+
+@pytest.mark.parametrize("name", sorted(_CHARACTERISED))
+def test_first_leg_contraction_matches_the_reference_values(name):
+    """The left-hand side itself, (e*_k (x) id)(q_r Delta(h) p_r) for every
+    k and h, on both sides.  On Q(1) and Q(2) a change that only permutes
+    the second legs (p2 e_b q2 for q2 e_b p2) keeps the kernel of the
+    characterisation at every h, so no verdict or witness can show it; on
+    Q(1) the values do."""
+    H = _CHARACTERISED[name]()
+    for side in ("right", "left"):
+        Hq = intcoint.side_algebra(H, side)
+        mids = [_reference_mid(Hq, h) for h in range(H.dim)]
+        for k in range(H.dim):
+            form = LinearForm(H.n, 1, {(k,): Scalar.one(H.n)})
+            want = {h: v.coeffs for h, mid in enumerate(mids)
+                    if (v := form.contract(mid, (0,)))}
+            assert intcoint._first_leg_contracted(Hq, form) == want, (side, k)

@@ -30,11 +30,11 @@ from quasihopf.repcat import (
     tensor,
     trivial_module,
     xi,
-    xi_left,
 )
 
 from quasihopf.sympferm import build
 
+from .categorical import is_module, xi_left
 from .helpers import cointegral_bundle, proportional, q_fixture, sweedler, z2, z4
 
 
@@ -382,7 +382,7 @@ def test_pairing_on_sign_module_of_group_algebra():
     minus = Scalar.from_int(H.n, -1)
     sign = MatrixRep(H, [SparseMatrix.identity(H.n, 1),
                          SparseMatrix.identity(H.n, 1).scale(minus)])
-    assert sign.check_is_module()
+    assert is_module(sign)
     reg = regular_module(H)
     rep = pairing_nondegeneracy(H, tr, sign, reg, trivial_presentation(H, reg))
     assert rep.passed

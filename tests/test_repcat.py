@@ -10,21 +10,25 @@ from quasihopf.repcat import (
     ShapeMismatch,
     associator,
     associator_inv,
-    dual_map,
     hom_space,
     partial_trace,
     phi_psi,
     regular_module,
     tensor,
     trivial_module,
+    xi,
+)
+
+from .categorical import (
+    dual_map,
+    duals_and_pivot,
+    is_module,
     unit_elim_left,
     unit_elim_right,
     unit_intro_left,
     unit_intro_right,
-    xi,
     xi_left,
 )
-
 from .helpers import q_fixture, q_principal, sweedler, z2, z4
 
 
@@ -35,9 +39,9 @@ def _ident(n, d, scale=1):
 def test_module_dimensions_and_validity():
     H = z2()
     reg = regular_module(H)
-    assert reg.dim == 2 and reg.check_is_module()
+    assert reg.dim == 2 and is_module(reg)
     tri = trivial_module(H, 3)
-    assert tri.dim == 3 and tri.check_is_module()
+    assert tri.dim == 3 and is_module(tri)
     fx = q_principal(1)
     assert regular_module(fx.H).dim == 16
 
@@ -415,7 +419,6 @@ def test_partial_trace_shape_errors():
 
 def test_duals_and_pivot_requires_pivotal_data():
     from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra
-    from quasihopf.repcat import duals_and_pivot
 
     H = z2()
     bare = QuasiHopfAlgebra(
