@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Wall time of each pipeline stage for one in-process run of Q(N, beta).
 
-    python3 scripts/stage_times.py --n 2 --beta z8^2
-    python3 scripts/stage_times.py --n 4 --beta z8^2 --json
+    python3 scripts/stage_times.py --n 4 --beta z8^2
 
 The stages are those of `quasihopf sympferm` followed by `quasihopf verify
 --suite all`: build, check_axioms, integrals + modulus, cointegrals (right),
 symmetrise, from_symmetrised_cointegral, verify_reduction (both sides) and
 the pairing of the trivial module with H.  Every check is exhaustive, as in
-the CLI.  The last line is the process peak RSS.  The exit code is 1 if any
-stage's check fails.
+the CLI.  The report is one JSON object: each stage's seconds and verdict,
+their total and the process peak RSS.  The exit code is 1 if any stage's
+check fails.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from quasihopf import intcoint, modtrace  # noqa: E402
 from quasihopf.exactmath import parse_scalar  # noqa: E402
 from quasihopf.qha import check_axioms  # noqa: E402
 from quasihopf.repcat import regular_module, trivial_module  # noqa: E402
-from quasihopf.sympferm import build  # noqa: E402
+from quasihopf.sympferm import BadBeta, build  # noqa: E402
 
 
 def stages(N, beta):
@@ -82,29 +82,27 @@ def main(argv=None):
     ap.add_argument("--n", type=int, required=True)
     ap.add_argument("--beta", required=True,
                     help="scalar, e.g. z8^7 (beta^4 must equal (-1)^N)")
-    ap.add_argument("--field", type=int, default=8, help="conductor of beta")
-    ap.add_argument("--json", action="store_true",
-                    help="print one JSON object instead of the table")
     args = ap.parse_args(argv)
-    beta = parse_scalar(args.beta, args.field)
+    if args.n < 1:
+        ap.error("--n must be positive")
+    try:
+        beta = parse_scalar(args.beta, 8)
+    except ValueError as e:
+        ap.error(f"--beta: {e}")
 
     rows = []
-    for name, thunk in stages(args.n, beta):
-        t0 = time.perf_counter()
-        passed = thunk()
-        rows.append({"stage": name, "s": round(time.perf_counter() - t0, 3),
-                     "passed": passed})
-        if not args.json:
-            print(f"{name:<28} {rows[-1]['s']:9.3f} s"
-                  f"{'' if passed else '  FAILED'}", flush=True)
-    total = round(sum(r["s"] for r in rows), 3)
-    rss = round(peak_rss_mib(), 1)
-    if args.json:
-        print(json.dumps({"n": args.n, "beta": args.beta, "stages": rows,
-                          "total_s": total, "peak_rss_mib": rss}))
-    else:
-        print(f"{'total':<28} {total:9.3f} s")
-        print(f"{'peak RSS':<28} {rss:9.1f} MiB")
+    try:
+        for name, thunk in stages(args.n, beta):
+            t0 = time.perf_counter()
+            passed = thunk()
+            rows.append({"stage": name,
+                         "s": round(time.perf_counter() - t0, 3),
+                         "passed": passed})
+    except BadBeta as e:
+        ap.error(str(e))
+    print(json.dumps({"n": args.n, "beta": args.beta, "stages": rows,
+                      "total_s": round(sum(r["s"] for r in rows), 3),
+                      "peak_rss_mib": round(peak_rss_mib(), 1)}))
     return 0 if all(r["passed"] for r in rows) else 1
 
 

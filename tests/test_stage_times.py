@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "stage_times.py"
 
 
@@ -14,7 +16,7 @@ def _load_script():
 
 def test_stage_times_runs_every_stage_of_q1(capsys):
     stage_times = _load_script()
-    assert stage_times.main(["--n", "1", "--beta", "z8^7", "--json"]) == 0
+    assert stage_times.main(["--n", "1", "--beta", "z8^7"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [r["stage"] for r in out["stages"]] == [
         "build", "check_axioms", "integrals + modulus", "cointegrals",
@@ -23,10 +25,10 @@ def test_stage_times_runs_every_stage_of_q1(capsys):
     assert all(r["passed"] and r["s"] >= 0 for r in out["stages"])
     assert out["total_s"] == round(sum(r["s"] for r in out["stages"]), 3)
     assert out["peak_rss_mib"] > 0
-    # the table: one line per stage, then the total and the peak RSS
-    assert stage_times.main(["--n", "1", "--beta", "z8"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
-    assert lines[0].startswith("build") and lines[-2].startswith("total")
-    assert lines[-1].startswith("peak RSS") and lines[-1].endswith("MiB")
-    assert not any("FAILED" in line for line in lines)
+
+
+@pytest.mark.parametrize("beta", ["z20", "1"])
+def test_stage_times_rejects_a_beta_outside_q_zeta8_or_with_the_wrong_fourth_power(beta):
+    with pytest.raises(SystemExit) as exit_info:
+        _load_script().main(["--n", "1", "--beta", beta])
+    assert exit_info.value.code == 2
