@@ -25,8 +25,8 @@ exactmath.kron_sum, and each straightening isomorphism of phi_psi is one
 kernel product.
 
 Module maps are sparse matrices tagged with source and target; every
-constructor here yields maps that pass the intertwiner check, and Hom-spaces
-are computed as exact nullspaces of the intertwining constraints.
+constructor here yields H-linear maps, and Hom-spaces are computed as exact
+nullspaces of the intertwining constraints.
 """
 
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix, kron_sum
@@ -159,23 +159,6 @@ class ModuleMap:
 
     def apply(self, vec):
         return self.matrix.apply(vec)
-
-    def is_intertwiner(self, basis_indices=None, columns=None):
-        """Exact check of matrix . rho_src(h) = rho_tgt(h) . matrix.
-
-        Exhaustive over all basis elements and source columns by default;
-        pass explicit index lists to restrict (used at large dimensions).
-        """
-        H = self.source.H
-        basis_indices = range(H.dim) if basis_indices is None else basis_indices
-        columns = range(self.source.dim) if columns is None else columns
-        for i in basis_indices:
-            src, tgt = self.source.matrix(i), self.target.matrix(i)
-            for c in columns:
-                unit = {c: Scalar.one(H.n)}
-                if self.apply(src.apply(unit)) != tgt.apply(self.apply(unit)):
-                    return False
-        return True
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim}, " \

@@ -5,6 +5,7 @@ from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import Scalar
 from quasihopf.modtrace import from_symmetrised_cointegral, verify_reduction
 from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra, derive_UVu
+from quasihopf.report import Check, check_every
 
 from .helpers import (
     ADMISSIBLE,
@@ -190,6 +191,33 @@ def test_form_properties_unimodular_vs_not():
     assert rep.find("gram rank").value == "4"
     assert not rep.find("symmetric").passed          # twisted only
     assert intcoint.check_twisted_symmetry(Hs, sym_l, gs, "left").passed
+
+
+def _reference_symmetric(H, form):
+    """The scan over basis pairs i < j, two form_on_product calls each."""
+    A = H.alg
+    return check_every(
+        Check("reference"), A.labels, "symmetric",
+        ((i, j) for i in range(H.dim) for j in range(i + 1, H.dim)),
+        lambda i, j: A.form_on_product(form, i, j)
+        == A.form_on_product(form, j, i))
+
+
+def test_check_symmetric_matches_the_pair_scan():
+    fx, _, sym = cointegral_bundle(1, 7)
+    Hs = sweedler()
+    sym_l = intcoint.symmetrise(Hs, intcoint.cointegrals(Hs, "left"))
+    cases = [(fx.H, sym), (Hs, sym_l)] + [
+        (H, LinearForm(H.n, 1, {(k,): Scalar.one(H.n)}))
+        for H in (fx.H, Hs) for k in range(H.dim)]
+    witnesses = []
+    for H, form in cases:
+        got = intcoint.check_symmetric(Check("form"), H, form)
+        ref = _reference_symmetric(H, form)
+        assert (got.ok, got.witness) == (ref.ok, ref.witness)
+        witnesses.append(got.witness)
+    assert witnesses[:2] == [None, "(g, gx)"]
+    assert sum(w is not None for w in witnesses) > 2
 
 
 def test_twisted_symmetry_right_on_sweedler():

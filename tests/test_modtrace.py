@@ -34,7 +34,7 @@ from quasihopf.repcat import (
 
 from quasihopf.sympferm import build
 
-from .categorical import is_module, xi_left
+from .categorical import is_intertwiner, is_module, xi_left
 from .helpers import cointegral_bundle, proportional, q_fixture, sweedler, z2, z4
 
 
@@ -132,7 +132,7 @@ def test_presentation_independence():
     assert len(pres1.maps_in) == 1 and len(pres2.maps_in) == 2
     assert P1.dim == P2.dim == 4
     for a, b in zip(pres1.maps_in, pres1.maps_out):
-        assert a.is_intertwiner() and b.is_intertwiner()
+        assert is_intertwiner(a) and is_intertwiner(b)
     # the same central endomorphism through both presentations
     for z in ("x+", "y+"):
         m1 = ModuleMap(P1, P1, _restrict(H, P1, pres1, fx.elements[z]))

@@ -6,6 +6,8 @@ from quasihopf.qha import (
     AxiomViolation,
     MissingPivotalData,
     QuasiHopfAlgebra,
+    _associativity_failures,
+    _delta_multiplicative_failures,
     _generating_set,
     check_axioms,
     derive_UVu,
@@ -95,7 +97,7 @@ def test_q3_cell_flip_fails_associativity():
     rep = check_axioms(_replace(H, alg=flipped))
     assoc = rep.find("associativity")
     assert not assoc.passed
-    assert assoc.witness is not None
+    assert assoc.witness == "(f3+, K, f3-K3)"
 
 
 def test_entries_resting_on_a_failed_entry_are_not_proven():
@@ -114,6 +116,7 @@ def test_entries_resting_on_a_failed_entry_are_not_proven():
                         ("antipode", "anti-multiplicative")):
         got = rep.find(layer).find(name)
         assert not got.passed and got.witness is not None and got.value is None
+    assert rep.find("associativity").witness == "(f1-K2, K, f1+K)"
     unproven = [("counit", "multiplicative"),
                 ("counit", "counit law for Delta"),
                 ("coproduct", "multiplicative"),
@@ -156,6 +159,105 @@ def test_corrupted_non_generator_fails_its_multiplicative_entry(layer):
     got = rep.find(layer).find(entry)
     assert not got.passed
     assert got.witness is not None
+    if layer == "coproduct":
+        assert got.witness == "(K, K)"
+
+
+def _reference_associativity(H):
+    """The per-case loop: (x g) z = x (g z) for g in G, all basis x, z."""
+    A = H.alg
+    e = [A.basis(i) for i in range(H.dim)]
+    return check_every(
+        Check("reference"), A.labels, "associativity",
+        ((x, g, z) for g in _generating_set(A)
+         for x in range(H.dim) for z in range(H.dim)),
+        lambda x, g, z: A.mul(A.mul(e[x], e[g]), e[z])
+        == A.mul(e[x], A.mul(e[g], e[z])))
+
+
+def _reference_delta_multiplicative(H):
+    """The per-case loop: Delta(g y) = Delta(g) Delta(y) for g in G, all y."""
+    A = H.alg
+    e = [A.basis(i) for i in range(H.dim)]
+    return check_every(
+        Check("reference"), A.labels, "multiplicative",
+        ((g, y) for g in _generating_set(A) for y in range(H.dim)),
+        lambda g, y: H.delta(A.mul(e[g], e[y]))
+        == A.mul(H.delta(e[g]), H.delta(e[y])))
+
+
+def _kernel_entries(H):
+    """The two kernel comparisons of check_axioms, as report entries."""
+    A = H.alg
+    gens = _generating_set(A)
+    return (check_every(Check("kernel"), A.labels, "associativity",
+                        _associativity_failures(A, gens), lambda *_: False),
+            check_every(Check("kernel"), A.labels, "multiplicative",
+                        _delta_multiplicative_failures(H, gens),
+                        lambda *_: False))
+
+
+def _assert_matches_references(H, rep=None):
+    """The kernel entries (check_axioms's if rep is given) have the
+    references' verdicts and witnesses; returns them."""
+    assoc, delta = _kernel_entries(H) if rep is None else (
+        rep.find("algebra").find("associativity"),
+        rep.find("coproduct").find("multiplicative"))
+    for got, ref in ((assoc, _reference_associativity(H)),
+                     (delta, _reference_delta_multiplicative(H))):
+        assert (got.ok, got.witness) == (ref.ok, ref.witness), got.name
+    return assoc, delta
+
+
+REFERENCE_ALGEBRAS = {
+    "Z2": z2, "Z4": z4, "Sweedler": sweedler,
+    **{f"Q(1, z8^{k})": (lambda k=k: q_fixture(1, k).H) for k in (1, 3, 5, 7)},
+    "Q(2, z8^2)": lambda: q_fixture(2, 2).H,
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_ALGEBRAS))
+def test_kernel_checks_match_the_per_case_loops(name):
+    H = REFERENCE_ALGEBRAS[name]()
+    _assert_matches_references(H, check_axioms(H))
+
+
+def test_kernel_checks_match_the_loops_on_every_cell_flip():
+    H = q_fixture(1, 7).H
+    A = H.alg
+    failed = 0
+    for ij in sorted(A.table):
+        table = dict(A.table)
+        table[ij] = {k: -v for k, v in table[ij].items()}
+        broken = _replace(H, alg=AlgebraData(A.n, A.dim, A.labels, A.unit,
+                                             table))
+        failed += not _assert_matches_references(broken)[0].ok
+    assert failed > 0
+
+
+def test_kernel_checks_match_the_loops_on_every_negated_coproduct_image():
+    H = q_fixture(1, 7).H
+    for y in range(H.dim):
+        delta = list(H.delta_images)
+        delta[y] = -delta[y]
+        broken = _replace(H, delta=delta)
+        assert not _assert_matches_references(broken)[1].ok
+
+
+def test_axiom_check_multiplies_few_elements(monkeypatch):
+    """check_axioms on Q(2, z8^2) makes at most 5,000 AlgebraData.mul calls
+    (about 42,700 with one call per associativity and Delta case)."""
+    H = q_fixture(2, 2).H
+    calls = [0]
+    mul = AlgebraData.mul
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(AlgebraData, "mul", counted)
+    assert check_axioms(H).passed
+    assert calls[0] <= 5000
 
 
 @pytest.mark.parametrize("entry", ["unit law", "S inverse"])
