@@ -451,8 +451,9 @@ def _frac_poly_sub(a, b):
 #
 # Canonical serialization: terms by ascending power, no whitespace, rationals
 # as p/q, the root of unity written z<n>.  Examples: "0", "-1/2", "z8^2",
-# "1/2+3*z8-z8^3".  parse_scalar accepts exactly this shape (whitespace is
-# tolerated and stripped).
+# "1/2+3*z8-z8^3".  parse_scalar accepts exactly this shape, with every
+# numerator, denominator, root and exponent in ASCII decimal digits (spaces
+# are tolerated and stripped).
 
 
 def format_scalar(s):
@@ -518,15 +519,24 @@ def _parse_term(term, n):
             raise ValueError(f"malformed term {term!r}")
         if factor[0] == "z":
             base, _, exp = factor.partition("^")
-            root = int(base[1:])
+            root = _decimal(base[1:])
             if root != n:
                 raise ValueError(f"scalar uses z{root} but the field is Q(zeta_{n})")
-            power += int(exp) if exp else 1
+            power += _decimal(exp) if exp else 1
         else:
             numer, _, denom = factor.partition("/")
-            f = Fraction(int(numer), int(denom)) if denom else Fraction(int(numer))
+            f = (Fraction(_decimal(numer), _decimal(denom)) if denom
+                 else Fraction(_decimal(numer)))
             coeff *= f
     return coeff, power
+
+
+def _decimal(text):
+    """int(text) for ASCII decimal digits only; int() also takes '1_0' and
+    non-ASCII digits such as Arabic-Indic ones."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
 
 
 # -- sparse matrices ---------------------------------------------------------

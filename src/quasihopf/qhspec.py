@@ -25,7 +25,13 @@ quasihopf.exactmath for the scalar syntax, e.g. ``-1/2+z8^3``).  Lines:
 Every line after ``basis`` adds its scalar to the coordinate it names, so
 a repeated line accumulates: ``mul 0 1 1 1/2`` twice is ``mul 0 1 1 1``.
 ``#`` starts a comment; blank lines are skipped.  serialize(parse(text))
-reproduces canonical documents byte for byte.
+reproduces canonical documents byte for byte.  Indices and the conductor
+are ASCII decimal digits.
+
+parse reads each distinct scalar token once per document (and field) and
+hands every later line the same Scalar: a Q(2) spec has thousands of
+scalar lines but about twenty distinct tokens.  Sharing is safe because a
+Scalar is immutable and a repeated line accumulates into a new one.
 """
 
 from dataclasses import dataclass, field
@@ -84,6 +90,7 @@ _INDEXED = {
 
 def parse(text):
     doc = SpecDocument()
+    scalars = {}                # token -> Scalar over doc.conductor
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,9 +98,10 @@ def parse(text):
         tokens = line.split()
         key, args = tokens[0], tokens[1:]
         if key == "field":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not _is_decimal(args[0]):
                 raise SpecSyntaxError(line_no, "field needs one positive integer")
             doc.conductor = int(args[0])
+            scalars = {}
         elif key == "basis":
             if not args:
                 raise SpecSyntaxError(line_no, "basis needs at least one label")
@@ -103,7 +111,7 @@ def parse(text):
                 raise SpecSyntaxError(line_no, "element needs: name, index, scalar")
             name, idx_s, scalar_s = args
             idx = _parse_index(idx_s, line_no)
-            val = _parse_scalar_token(scalar_s, doc, line_no)
+            val = _parse_scalar_token(scalar_s, doc, line_no, scalars)
             _accumulate(doc.elements.setdefault(name, {}), idx, val)
         elif key in _INDEXED:
             attr, n_idx = _INDEXED[key]
@@ -111,7 +119,7 @@ def parse(text):
                 raise SpecSyntaxError(
                     line_no, f"{key} needs {n_idx} indices and one scalar")
             idx = tuple(_parse_index(a, line_no) for a in args[:-1])
-            val = _parse_scalar_token(args[-1], doc, line_no)
+            val = _parse_scalar_token(args[-1], doc, line_no, scalars)
             _accumulate(getattr(doc, attr), idx[0] if n_idx == 1 else idx, val)
         else:
             raise SpecSyntaxError(line_no, f"unknown keyword {key!r}")
@@ -128,19 +136,27 @@ def _accumulate(store, key, val):
     store[key] = val if cur is None else cur + val
 
 
+def _is_decimal(token):
+    return token.isascii() and token.isdigit()
+
+
 def _parse_index(token, line_no):
-    if not token.isdigit():
+    if not _is_decimal(token):
         raise SpecSyntaxError(line_no, f"expected a basis index, got {token!r}")
     return int(token)
 
 
-def _parse_scalar_token(token, doc, line_no):
+def _parse_scalar_token(token, doc, line_no, seen):
+    val = seen.get(token)
+    if val is not None:
+        return val
     if doc.conductor is None:
         raise SpecSyntaxError(line_no, "'field' must come before scalar data")
     try:
-        return parse_scalar(token, doc.conductor)
+        val = seen[token] = parse_scalar(token, doc.conductor)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecSyntaxError(line_no, f"bad scalar {token!r}: {exc}") from None
+    return val
 
 
 def _check_indices(doc):

@@ -110,6 +110,15 @@ def test_parse_scalar_forms():
         parse_scalar("", 8)
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "z8^\u0661", "1/\u0662",
+                                  "z\u0668", "\u00b2*z8"])
+def test_parse_scalar_takes_ascii_digits_only(text):
+    """int() reads '1_0' as 10 and Arabic-Indic or superscript digits as
+    numbers; the scalar syntax has ASCII decimal digits only."""
+    with pytest.raises(ValueError, match="ASCII decimal digits"):
+        parse_scalar(text, 8)
+
+
 def _matrix_from_lists(n, rows):
     m = SparseMatrix(n, len(rows), len(rows[0]) if rows else 0)
     for i, row in enumerate(rows):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quasihopf import cli, qhspec
+from quasihopf.exactmath import parse_scalar
 from quasihopf.qha import check_axioms
 
 from .helpers import q_fixture, z2
@@ -79,6 +80,68 @@ def test_semantic_errors():
         qhspec.to_algebra(qhspec.parse(text))  # missing inverse antipode
 
 
+def _q_spec(N, power):
+    """Q(N, zeta_8^power) as `sympferm --emit-spec` writes it."""
+    fx = q_fixture(N, power)
+    names = {k: fx.elements[k] for k in ("x+", "x-", "y+", "y-")}
+    return qhspec.serialize(qhspec.from_algebra(fx.H, names,
+                                                cointegral=fx.cointegral))
+
+
+def _scalar_tokens(text):
+    return [line.split()[-1] for line in text.splitlines()
+            if line.split()[0] not in ("field", "basis")]
+
+
+def test_parse_reads_each_distinct_scalar_token_once(monkeypatch):
+    text = _q_spec(2, 2)
+    tokens = _scalar_tokens(text)
+    calls = []
+
+    def counting(token, n):
+        calls.append(token)
+        return parse_scalar(token, n)
+
+    monkeypatch.setattr(qhspec, "parse_scalar", counting)
+    qhspec.parse(text)
+    assert len(tokens) > 5000 and len(set(tokens)) < 30
+    assert sorted(calls) == sorted(set(tokens))
+
+
+@pytest.mark.parametrize("power", [0, 2, 4, 6])
+def test_emitted_q2_specs_roundtrip(power):
+    text = _q_spec(2, power)
+    assert qhspec.serialize(qhspec.parse(text)) == text
+
+
+def test_shared_token_accumulates_per_key():
+    doc = qhspec.parse("field 8\nbasis a b c\nmul 0 1 1 1/2\n"
+                       "mul 0 1 1 1/2\nmul 0 2 2 1/2\n")
+    assert doc.mul == {(0, 1, 1): parse_scalar("1", 8),
+                       (0, 2, 2): parse_scalar("1/2", 8)}
+
+
+def test_repeated_bad_token_reports_its_first_line():
+    with pytest.raises(qhspec.SpecSyntaxError) as err:
+        qhspec.parse("field 8\nbasis a\n# comment\nunit 0 1/0\n"
+                     "mul 0 0 0 1/0\n")
+    assert err.value.line_no == 4
+
+
+def test_scalars_carry_their_own_documents_conductor():
+    body = "basis a b\nunit 0 1\nmul 0 1 1 -1/2\nelement x 1 -1/2\n"
+    doc8 = qhspec.parse("field 8\n" + body)
+    doc4 = qhspec.parse("field 4\n" + body)
+    # a second field line starts a new field for the lines after it
+    doc48 = qhspec.parse("field 4\nbasis a b\nunit 0 -1/2\n"
+                         "field 8\nunit 1 -1/2\n")
+    for doc, want in ((doc8, [8] * 3), (doc4, [4] * 3),
+                      (doc48, [4, 8])):
+        got = [c.n for store in (doc.unit, doc.mul, doc.elements.get("x", {}))
+               for c in store.values()]
+        assert got == want
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -123,6 +186,26 @@ def test_cli_parse_failure_exit_code(tmp_path):
     code, _, err = _run(["check", str(bad)])
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("field 8\nbasis a\nmul 0 \u00b2 0 1\n", 3),
+    ("field \u00b2\nbasis a\nunit 0 1\n", 1),
+    ("field 8\nbasis a b\nunit \u0660 1\n", 3),
+    ("field \u0663\nbasis a\nunit 0 1\n", 1),
+    ("field 8\nbasis a\nunit 0 1_0\n", 3),
+    ("field 8\nbasis a\nunit 0 z8^\u0663\n", 3),
+])
+def test_cli_non_ascii_digits_are_parse_errors(tmp_path, text, line_no):
+    """Indices, the conductor and scalar digits are ASCII decimal digits:
+    '\u00b2' passes str.isdigit but not int(), and int() reads '\u0660' as 0
+    and '1_0' as 10."""
+    bad = tmp_path / "digits.qhs"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = _run(["check", str(bad)])
+    assert code == 2
+    assert f"line {line_no}:" in err
+    assert "Traceback" not in err
 
 
 def test_cli_integrals(z2_spec):
@@ -400,7 +483,7 @@ def test_cli_sympferm_refuses_a_conductor_above_the_maximum():
 # range, scalars of other fields, malformed scalars, keywords and junk
 _MUTATION_TOKENS = ("0", "1", "2", "3", "5", "-1", "1/2", "1/0", "0/3", "z8",
                     "z4^3", "z3", "-z4", "abc", "", "#", "mul", "basis",
-                    "field", "twist")
+                    "field", "twist", "\u00b2", "1_0")
 
 
 @st.composite
