@@ -45,8 +45,13 @@ def _emit(report, as_json):
 
 
 def _load(path):
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise qhspec.SpecSemanticError(
+            f"{path}: byte {exc.start} is not UTF-8") from None
     doc = qhspec.parse(text)
     return doc, qhspec.to_algebra(doc)
 

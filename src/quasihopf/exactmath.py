@@ -864,19 +864,23 @@ class RowReducer:
 
     def nullspace(self):
         """Canonical basis of the solution space, as dense Scalar tuples."""
-        self._rref()
         zero = Scalar.zero(self.n)
+        return [tuple(v.get(c, zero) for c in range(self.cols))
+                for v in self.null_vectors()]
+
+    def null_vectors(self):
+        """The basis of nullspace() as sparse {col: Scalar} dicts, with
+        ascending keys: one per free column f, which is 1 at f and -prow[f]
+        at each pivot column whose reduced row has an entry at f."""
+        self._rref()
         one = Scalar.one(self.n)
-        free = [c for c in range(self.cols) if c not in self.pivots]
-        basis = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for pc, prow in self.pivots.items():
-                if f in prow:
-                    v[pc] = -prow[f]
-            basis.append(tuple(v))
-        return basis
+        basis = {c: {c: one} for c in range(self.cols)
+                 if c not in self.pivots}
+        for pc, prow in self.pivots.items():
+            for c, v in prow.items():
+                if c != pc:
+                    basis[c][pc] = -v
+        return [dict(sorted(v.items())) for v in basis.values()]
 
 
 def rank(matrix):

@@ -1,14 +1,21 @@
 """Integrals, the modulus, cointegrals, and symmetrised cointegrals.
 
 A left integral is an element L with h L = eps(h) L for all h; the solution
-space is found as the exact nullspace of the stacked operators
-(l_h - eps(h) id) over all basis h, assembled as one sparse system and
-eliminated in one pass.  The modulus gamma is read off from L h = gamma(h) L
-and verified to be an algebra morphism; gamma = eps characterises the
-unimodular case.  gamma depends only on the algebra and the counit, so it
-is computed once per algebra and cached on it; the coopposite algebra has
-the same algebra and counit, and the cointegral solver reuses H's modulus
-for H^cop.
+space is the exact nullspace of the stacked operators (l_h - eps(h) id) over
+all basis h.  It is solved by checking before reducing: in basis order, h's
+block of rows joins the row reducer only when some vector of the current
+solution space fails h L = eps(h) L exactly.  This is exact.  The final
+space is the nullspace of a subset of the rows, so it contains the true
+space; each skipped h holds exactly on the space at its turn, and later
+rows only shrink that space, so it lies inside the true space too.  The
+reduced row echelon form of a row space is unique, so the basis returned
+is the canonical nullspace basis of the full system, element for element.
+The modulus gamma is read off from L h = gamma(h) L and verified to be an
+algebra morphism, gamma(e_i e_j) = gamma(e_i) gamma(e_j) on every basis
+pair as one kernel product; gamma = eps characterises the unimodular case.
+gamma depends only on the algebra and the counit, so it is computed once
+per algebra and cached on it; the coopposite algebra has the same algebra
+and counit, and the cointegral solver reuses H's modulus for H^cop.
 
 A left cointegral is a form lam with
 
@@ -108,12 +115,20 @@ def side_algebra(H, side):
 
 
 def integrals(H, side="left"):
-    """Exact basis of {L : h L = eps(h) L} (left) or {L : L h = eps(h) L}."""
+    """Exact basis of {L : h L = eps(h) L} (left) or {L : L h = eps(h) L}:
+    the canonical nullspace basis of the stacked system, solved by checking
+    before reducing (module docstring).  The space starts as all of H and
+    is kept as sparse vectors, so a failing h usually costs one product."""
     A = H.alg
     dim = H.dim
     red = RowReducer(H.n, dim)
+    space = [A.basis(a) for a in range(dim)]  # no rows yet: all of H
     for h in range(dim):
-        eh = H.eps(A.basis(h))
+        e = A.basis(h)
+        eh = H.eps(e)
+        if all((A.mul(e, L) if side == "left" else A.mul(L, e))
+               == L.scale(eh) for L in space):
+            continue
         rows = {}
         for a in range(dim):
             pair = (h, a) if side == "left" else (a, h)
@@ -126,11 +141,11 @@ def integrals(H, side="left"):
                 row[a] = -eh if cur is None else cur - eh
         for row in rows.values():
             red.add_row(row)
-    basis = [TensorElement(H.n, 1, {(i,): c for i, c in enumerate(vec) if c})
-             for vec in red.nullspace()]
-    if not basis:
+        space = [TensorElement.wrap(H.n, 1, {(i,): c for i, c in v.items()})
+                 for v in red.null_vectors()]
+    if not space:
         raise DimensionZero(f"no nonzero {side} integral: input data is corrupt")
-    return IntegralSpace(side, basis)
+    return IntegralSpace(side, space)
 
 
 def modulus(H, left_integral=None):
@@ -162,13 +177,38 @@ def _modulus_from(H, L):
     form = LinearForm(H.n, 1, coeffs)
     if not form.evaluate(A.unit).is_one():
         raise InconsistentModulus("gamma(1) != 1")
-    values = [form.coeffs.get((i,), Scalar.zero(H.n)) for i in range(H.dim)]
+    bad = _multiplicative_failure(A, form)
     mult = check_every(Check("modulus"), A.labels, "multiplicative",
-                       _all_pairs(H.dim), lambda i, j: A.form_on_product(
-                           form, i, j) == values[i] * values[j])
+                       [bad] if bad else [], lambda *_: False)
     if not mult.passed:
         raise InconsistentModulus(f"gamma not multiplicative at {mult.witness}")
     return Modulus(form)
+
+
+def _multiplicative_failure(A, form):
+    """The least basis pair (i, j), in row-major order, with form(e_i e_j)
+    != form(e_i) form(e_j); None if there is none.  A pair can fail only
+    where one side is nonzero, so only the pairs in the union of the two
+    supports are compared."""
+    dim = A.dim
+    values = _values_on_products(A, form)
+    products = {i * dim + j: vi * vj for (i,), vi in form.coeffs.items()
+                for (j,), vj in form.coeffs.items()}
+    bad = [ij for ij in values.keys() | products.keys()
+           if values.get(ij) != products.get(ij)]
+    return divmod(min(bad), dim) if bad else None
+
+
+def _values_on_products(A, form):
+    """{i * dim + j: form(e_i e_j)} on every basis pair where it is nonzero,
+    as one kernel product: the table stacked with rows (i, j) and columns
+    k, applied to the form's coordinates.  The product reads only the
+    columns in the form's support, so only those are built."""
+    dim = A.dim
+    coords = {k: v for (k,), v in form.coeffs.items()}
+    return SparseMatrix(A.n, dim * dim, dim, {
+        (i * dim + j, k): c for (i, j), cell in A.table.items()
+        for k, c in cell.items() if k in coords}).apply(coords)
 
 
 def _left_cointegral_rows(H, gamma):
@@ -176,7 +216,10 @@ def _left_cointegral_rows(H, gamma):
     A = H.alg
     dim = H.dim
     cap_u, cap_v, _ = derive_UVu(H, gamma.form)
-    phi = H.coassociator
+    # gamma(Phi_1) c, S(Phi_2) and Phi_3 of each coassociator term, once
+    terms = [(weight, H.S(A.basis(p2)), p3)
+             for (p1, p2, p3), c in H.coassociator.coeffs.items()
+             if (weight := gamma.of(A.basis(p1)) * c)]
     for h in range(dim):
         rows = {}
         middle = A.mul(A.mul(cap_v, H.delta(A.basis(h))), cap_u)
@@ -184,11 +227,8 @@ def _left_cointegral_rows(H, gamma):
             row = rows.setdefault(x, {})
             cur = row.get(y)
             row[y] = c if cur is None else cur + c
-        for (p1, p2, p3), c in phi.coeffs.items():
-            weight = gamma.of(A.basis(p1)) * c
-            if not weight:
-                continue
-            hs = A.mul(A.basis(h), H.S(A.basis(p2)))
+        for weight, s2, p3 in terms:
+            hs = A.mul(A.basis(h), s2)
             for (w,), d in hs.coeffs.items():
                 row = rows.setdefault(p3, {})
                 cur = row.get(w)
@@ -373,18 +413,13 @@ def check_symmetric(report, H, form):
     """Add the entry "symmetric", form(e_i e_j) = form(e_j e_i) on every
     basis pair i < j, to report and return it.
 
-    form(e_i e_j) for every pair is one kernel product: the table stacked
-    with rows (i, j) and columns k, applied to the form's coordinates.  The
-    product reads only the columns in the form's support, so only those are
-    built.  A pair fails when its two values differ, and the witness is the
-    least failing (i, j), as in a scan over i < j.
+    form(e_i e_j) for every pair is one kernel product
+    (_values_on_products).  A pair fails when its two values differ, and
+    the witness is the least failing (i, j), as in a scan over i < j.
     """
     A = H.alg
     dim = H.dim
-    coords = {k: v for (k,), v in form.coeffs.items()}
-    values = SparseMatrix(H.n, dim * dim, dim, {
-        (i * dim + j, k): c for (i, j), cell in A.table.items()
-        for k, c in cell.items() if k in coords}).apply(coords)
+    values = _values_on_products(A, form)
     bad = [tuple(sorted(divmod(ij, dim))) for ij, v in values.items()
            if values.get(ij % dim * dim + ij // dim) != v]
     return check_every(report, A.labels, "symmetric", sorted(bad)[:1],

@@ -1,8 +1,8 @@
 import pytest
 
 from quasihopf import cli, intcoint, qha, qhspec
-from quasihopf.algcore import LinearForm, TensorElement
-from quasihopf.exactmath import Scalar
+from quasihopf.algcore import AlgebraData, LinearForm, TensorElement
+from quasihopf.exactmath import RowReducer, Scalar
 from quasihopf.modtrace import from_symmetrised_cointegral, verify_reduction
 from quasihopf.qha import MissingPivotalData, QuasiHopfAlgebra, derive_UVu
 from quasihopf.report import Check, check_every
@@ -80,6 +80,123 @@ def test_modulus_rejects_corrupt_integral():
     fake = H.alg.basis(0)  # not an integral
     with pytest.raises(intcoint.InconsistentModulus):
         intcoint.modulus(H, fake)
+
+
+def _reference_integrals(H, side):
+    """The full stacked solve that integrals replaced: every basis h's block
+    of rows goes to the reducer.  Returns the basis, or raises
+    DimensionZero."""
+    A = H.alg
+    dim = H.dim
+    red = RowReducer(H.n, dim)
+    for h in range(dim):
+        eh = H.eps(A.basis(h))
+        rows = {}
+        for a in range(dim):
+            pair = (h, a) if side == "left" else (a, h)
+            for k, c in A.table.get(pair, {}).items():
+                rows.setdefault(k, {})[a] = c
+            if eh:
+                row = rows.setdefault(a, {})
+                cur = row.get(a)
+                row[a] = -eh if cur is None else cur - eh
+        for row in rows.values():
+            red.add_row(row)
+    basis = [TensorElement(H.n, 1, {(i,): c for i, c in enumerate(vec) if c})
+             for vec in red.nullspace()]
+    if not basis:
+        raise intcoint.DimensionZero(f"no nonzero {side} integral")
+    return basis
+
+
+_INTEGRAL_ALGEBRAS = {
+    "z2": z2, "z4": z4, "sweedler": sweedler,
+    **{f"q1-z8^{k}": (lambda k=k: q_fixture(1, k).H) for k in (1, 3, 5, 7)},
+    **{f"q2-z8^{k}": (lambda k=k: q_fixture(2, k).H) for k in (0, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRAL_ALGEBRAS))
+def test_integrals_match_the_full_stacked_solve(name):
+    H = _INTEGRAL_ALGEBRAS[name]()
+    for side in ("left", "right"):
+        assert intcoint.integrals(H, side).basis == \
+            _reference_integrals(H, side), side
+
+
+def _z4_failing_last():
+    """k[Z4] with the products g3 e_a negated, built from the table: the
+    integral 1 + g + g2 + g3 of k[Z4] satisfies the integral condition at
+    1, g and g2, and first fails at g3, the last basis element."""
+    H = z4()
+    A = H.alg
+    minus = Scalar.from_int(H.n, -1)
+    table = {(i, j): {k: c * minus for k, c in cell.items()} if i == 3
+             else cell for (i, j), cell in A.table.items()}
+    alg = AlgebraData(A.n, A.dim, A.labels, A.unit, table)
+    return QuasiHopfAlgebra(
+        alg, H.delta_images, H.counit, H.antipode_images,
+        H.antipode_inv_images, H.coassociator, H.coassociator_inv,
+        H.alpha, H.beta, pivotal=H.pivotal)
+
+
+def test_integrals_check_the_last_basis_element():
+    H = _z4_failing_last()
+    L = z4().alg.element({a: 1 for a in range(4)})
+    A = H.alg
+    assert [A.mul(A.basis(h), L) == L for h in range(4)] == \
+        [True, True, True, False]
+    for side in ("left", "right"):
+        with pytest.raises(intcoint.DimensionZero):
+            _reference_integrals(H, side)
+        with pytest.raises(intcoint.DimensionZero):
+            intcoint.integrals(H, side)
+
+
+def test_integrals_reduce_few_rows(monkeypatch):
+    H = q_fixture(2, 2).H
+    rows = []
+    add_row = RowReducer.add_row
+
+    def counting(self, row):
+        rows.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(RowReducer, "add_row", counting)
+    intcoint.integrals(H, "left")
+    assert len(rows) <= 400  # the full stacked system feeds 1,936
+
+
+def _reference_multiplicative_failure(H, form):
+    """The scan that _multiplicative_failure replaced: the first basis pair
+    (i, j), in row-major order, with form(e_i e_j) != form(e_i) form(e_j)."""
+    A = H.alg
+    values = [form.coeffs.get((i,), Scalar.zero(H.n)) for i in range(H.dim)]
+    return next(((i, j) for i in range(H.dim) for j in range(H.dim)
+                 if A.form_on_product(form, i, j) != values[i] * values[j]),
+                None)
+
+
+@pytest.mark.parametrize("make", (lambda: q_fixture(1, 7).H, sweedler, z4),
+                         ids=("q1-z8^7", "sweedler", "z4"))
+def test_multiplicativity_matches_the_pair_scan(make):
+    """gamma itself and gamma + e*_i for every basis i."""
+    H = make()
+    gamma = intcoint.modulus(H).form
+    forms = [gamma] + [gamma + LinearForm(H.n, 1, {(i,): Scalar.one(H.n)})
+                       for i in range(H.dim)]
+    got = [intcoint._multiplicative_failure(H.alg, f) for f in forms]
+    assert got == [_reference_multiplicative_failure(H, f) for f in forms]
+    assert got[0] is None
+    assert all(bad is not None for bad in got[1:])
+
+
+def test_multiplicativity_witness():
+    """On Sweedler, gamma + e*_gx first fails at (g, x): g x = gx."""
+    H = sweedler()
+    form = intcoint.modulus(H).form + LinearForm(
+        H.n, 1, {(3,): Scalar.one(H.n)})
+    assert intcoint._multiplicative_failure(H.alg, form) == (1, 2)
 
 
 def test_group_algebra_cointegral():

@@ -208,6 +208,16 @@ def test_cli_non_ascii_digits_are_parse_errors(tmp_path, text, line_no):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ("check", "modtrace", "verify"))
+def test_cli_spec_that_is_not_utf8_is_a_parse_error(tmp_path, command):
+    bad = tmp_path / "latin.qhs"
+    bad.write_bytes(b"field 8\nbasis a\nunit 0 1\xff\n")
+    code, out, err = _run([command, str(bad)])
+    assert code == 2
+    assert err == f"error: {bad}: byte 24 is not UTF-8\n"
+    assert out == ""
+
+
 def test_cli_integrals(z2_spec):
     code, out, _ = _run(["integrals", z2_spec])
     assert code == 0
