@@ -364,6 +364,54 @@ def apply_images_leg(images, x, leg):
     return TensorElement.wrap(x.n, order, out)
 
 
+def sandwiches(A, delta_images, X=None, Y=None):
+    """(X Delta(e_h)) Y for every basis h, as one SparseMatrix: row
+    x * dim + y, column h holds the coefficient of e_x (x) e_y.  X or Y None
+    stands for 1 (x) 1.
+
+    Built leg-wise, never one h at a time: Delta stacked with rows (second
+    leg b, h) and columns the first leg a, then two kernel products per
+    nontrivial side (_times_legs), whatever its number of terms.  Legs index
+    the columns, so no product has more than a few times dim of them.
+    """
+    n, dim = A.n, A.dim
+    stack = SparseMatrix(n, dim * dim, dim, {
+        (b * dim + h, a): c for h, d in enumerate(delta_images)
+        for (a, b), c in d.coeffs.items()})
+    leg = 0  # the leg the columns of stack index
+    for Z, left in ((X, True), (Y, False)):
+        if Z is not None:
+            stack = _times_legs(A, stack, Z, leg, left)
+            leg = 1 - leg
+    return SparseMatrix(n, dim * dim, dim, {
+        (oh // dim * dim + x if leg else x * dim + oh // dim, oh % dim): c
+        for (oh, x), c in stack.entries.items()})
+
+
+def _times_legs(A, stack, Z, leg, left):
+    """Z m (left) or m Z for the element m of H (x) H in each row block h
+    of stack, whose columns index leg `leg` of m and rows (other leg, h);
+    the result has the roles of the legs swapped.
+
+    With Z = sum_z e_z (x) W_z grouped by the factor on `leg`, one product
+    applies every e_z side by side, and after one re-key one product applies
+    every W_z stacked, which also sums over the groups."""
+    n, dim = A.n, A.dim
+    groups = {}
+    for key, c in Z.coeffs.items():
+        groups.setdefault(key[leg], {})[(key[1 - leg],)] = c
+    firsts = SparseMatrix(n, dim, len(groups) * dim, {
+        (a, g * dim + k): c for g, z in enumerate(groups) for a in range(dim)
+        for k, c in A.table.get((z, a) if left else (a, z), {}).items()})
+    mult = A.left_mult_matrix if left else A.right_mult_matrix
+    seconds = SparseMatrix(n, len(groups) * dim, dim, {
+        (g * dim + o, r): c for g, w in enumerate(groups.values())
+        for (r, o), c in mult(TensorElement.wrap(n, 1, w)).entries.items()})
+    return SparseMatrix(n, dim * dim, len(groups) * dim, {
+        (gk % dim * dim + oh % dim, gk // dim * dim + oh // dim): c
+        for (oh, gk), c in (stack @ firsts).entries.items()}) @ seconds
+
+
 # -- hook actions -------------------------------------------------------------
 #
 # For h, a in H and f in H^*:

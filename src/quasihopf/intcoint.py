@@ -24,7 +24,8 @@ A left cointegral is a form lam with
 for all h, where U = f^-1 (S (x) S)(q_r flipped) and
 V = (S^-1 (x) S^-1)(f_21 p_r_21).  A right cointegral is a left cointegral
 for the coopposite algebra.  Both are solved as one stacked sparse linear
-system in the dim(H) dual coefficients; the solution space must come out
+system in the dim(H) dual coefficients, with V Delta(h) U for every basis h
+from one algcore.sandwiches matrix; the solution space must come out
 exactly one-dimensional.
 
 The symmetrised cointegrals are the shifts
@@ -58,7 +59,7 @@ side that was asked for.
 
 from dataclasses import dataclass
 
-from quasihopf.algcore import LinearForm, TensorElement
+from quasihopf.algcore import LinearForm, TensorElement, sandwiches
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
 from quasihopf.qha import QuasiHopfError, derive_UVu
 from quasihopf.report import Check, check_every
@@ -215,29 +216,23 @@ def _left_cointegral_rows(H, gamma):
     """Rows of the stacked left-cointegral system, one block per basis h."""
     A = H.alg
     dim = H.dim
+    zero = Scalar.zero(H.n)
     cap_u, cap_v, _ = derive_UVu(H, gamma.form)
     # gamma(Phi_1) c, S(Phi_2) and Phi_3 of each coassociator term, once
     terms = [(weight, H.S(A.basis(p2)), p3)
              for (p1, p2, p3), c in H.coassociator.coeffs.items()
              if (weight := gamma.of(A.basis(p1)) * c)]
+    blocks = {}
+    for (xy, h), c in sandwiches(A, H.delta_images, cap_v, cap_u).entries.items():
+        blocks.setdefault(h, {}).setdefault(xy // dim, {})[xy % dim] = c
     for h in range(dim):
-        rows = {}
-        middle = A.mul(A.mul(cap_v, H.delta(A.basis(h))), cap_u)
-        for (x, y), c in middle.coeffs.items():
-            row = rows.setdefault(x, {})
-            cur = row.get(y)
-            row[y] = c if cur is None else cur + c
+        rows = blocks.get(h, {})
         for weight, s2, p3 in terms:
-            hs = A.mul(A.basis(h), s2)
-            for (w,), d in hs.coeffs.items():
-                row = rows.setdefault(p3, {})
-                cur = row.get(w)
-                val = -weight * d
-                row[w] = val if cur is None else cur + val
-        for row in rows.values():
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                yield row
+            row = rows.setdefault(p3, {})
+            for (w,), d in A.mul(A.basis(h), s2).coeffs.items():
+                row[w] = row.get(w, zero) - weight * d
+        yield from filter(None, ({k: v for k, v in row.items() if v}
+                                 for row in rows.values()))
 
 
 def cointegrals(H, side="right", pin=None):
@@ -353,7 +348,8 @@ def check_symmetrised(H, sym, gamma, side):
 def _first_leg_contracted(Hq, sym):
     """{h: coordinates of (sym (x) id)(q_r Delta(e_h) p_r)} on Hq, for every
     basis h at once, as the two kernel products check_symmetrised describes;
-    an h whose value is zero has no entry."""
+    an h whose value is zero has no entry.  Apart from algcore.sandwiches:
+    sym goes in first, so this hot step of a trace never builds dim^2 x dim."""
     A = Hq.alg
     n, dim = Hq.n, Hq.dim
     ce = Hq.canonical_elements()

@@ -34,14 +34,12 @@ This module provides:
     so the exhaustive check extracts, for each basis element a, the
     dim x dim coefficient matrices of the two sides in m and compares
     them; that covers every pair (a, E_jk) at once,
-  * the Hom-pairing non-degeneracy check, and
-  * a brute-force solver for the space of symmetric forms satisfying the
-    reduction condition, used to cross-validate the cointegral solver.
+  * the Hom-pairing non-degeneracy check.
 """
 
 from dataclasses import dataclass, field
 
-from quasihopf.algcore import LinearForm, TensorElement
+from quasihopf.algcore import LinearForm, TensorElement, sandwiches
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
 from quasihopf.intcoint import (Modulus, check_symmetric, check_symmetrised,
                                 modulus)
@@ -249,164 +247,125 @@ class ReductionChecker:
     Both sides are linear in m: lhs_matrix(a) and rhs_matrix(a) give the
     coefficient matrices M with side(a, m) = sum m[r2, r] M[r2, r], keyed
     like m's entries.
+
+    Delta(e_x) p_l and q_l Delta(e_a) are built once, for every basis
+    element (algcore.sandwiches), and all that uses them is kernel products.
     """
 
     def __init__(self, H, t_form):
         self.H = H
-        self.A = H.alg
+        self.A = A = H.alg
         self.t = t_form
         self.ce = H.canonical_elements()
         self.p = H.require_pivotal()
-        A = self.A
-        dim = H.dim
-        self._sandwich_col = {}
-        self._t_shifts = {}
+        n, dim = H.n, H.dim
+        lm = A.left_mult_matrix
 
         # the composite A -> (Cd C)A -> Cd(C A) applied to 1, with C = H
-        # regular: v1 keys (d, c, a)
-        v1 = {}
-        psi = H.coassociator_inv
-        sbeta = A.left_mult_matrix(H.S(H.beta))
-        ginv = A.left_mult_matrix(self.p.pivot_inv)
-        coevr = {}
-        # coevR(1) = sum_{i,j} (S(beta) e_j)_i  e^j (x) g^-1 e_i
-        sb_by = _rows_by_output(sbeta)
-        for i in range(dim):
-            gcol = ginv.apply({i: Scalar.one(H.n)})
-            for j, cb in sb_by.get(i, []):
-                for k, cg in gcol.items():
-                    key = (j, k)
-                    cur = coevr.get(key)
-                    coevr[key] = cb * cg if cur is None else cur + cb * cg
-        for (P, Q, R), cpsi in psi.coeffs.items():
-            rows = _rows_by_output(A.left_mult_matrix(H.S(A.basis(P))))
-            rleg = A.mul(A.basis(R), A.unit)
-            for (j, k), cc in coevr.items():
-                dlegs = rows.get(j)
-                if not dlegs or not cc:
-                    continue
-                ccell = A.mul(A.basis(Q), A.basis(k))
-                for (kc2,), c2 in ccell.coeffs.items():
-                    for (ka,), ca in rleg.coeffs.items():
-                        w = cpsi * cc * c2 * ca
-                        for k2, cv in dlegs:
-                            key = (k2, kc2, ka)
-                            cur = v1.get(key)
-                            v1[key] = w * cv if cur is None else cur + w * cv
-        # apply the inverse straightening on the (C, A) legs once
-        self.v1s = self._apply_sandwich_legs(v1)
-        # POST data: per coassociator term, the weight vector t(e_R e_b)
-        # and the element S(e_P) alpha e_Q
-        self.post_terms = []
+        # regular: coevR(1) = sum coev[j, k] e^j (x) e_k with coev[j, k] =
+        # sum_i (S(beta) e_j)_i (g^-1 e_i)_k, then the inverse coassociator,
+        # its first leg acting on Cd; v1 has rows a and columns (c, d)
+        coev = (lm(self.p.pivot_inv) @ lm(H.S(H.beta))).transpose()
+        v1 = SparseMatrix(n, dim, dim * dim)
+        for (P, Q, R), c in H.coassociator_inv.coeffs.items():
+            block = lm(H.S(A.basis(P))).transpose() @ coev \
+                @ lm(A.basis(Q)).transpose()
+            for (a,), ca in A.mul(A.basis(R), A.unit).coeffs.items():
+                for (d, k), v in block.entries.items():
+                    v1.add_to(a, k * dim + d, c * ca * v)
+        # Delta(e_a) p_l and q_l Delta(e_a) in column a of dp and q, rows
+        # (x, y) (algcore.sandwiches); row x of sinv_t is S^-1(e_x)
+        dp = sandwiches(A, H.delta_images, Y=self.ce.p_l)
+        q = sandwiches(A, H.delta_images, X=self.ce.q_l)
+        sinv_t = SparseMatrix(n, dim, dim, {
+            (x, s): c for x, img in enumerate(H.antipode_inv_images)
+            for (s,), c in img.coeffs.items()})
+
+        def multiplied(m):
+            """Rows k, sum (e_s e_w)_k m[(s, w), .] over the rows (s, w) of
+            m; only the table cells that m's rows use are read."""
+            return SparseMatrix(n, dim, dim * dim, {
+                (k, sw): c for sw in {sw for sw, _ in m.entries}
+                for k, c in A.table.get(divmod(sw, dim), {}).items()}) @ m
+
+        # the inverse straightening on the (C, A) legs of v1, e_c (x) e_a ->
+        # sum (S^-1(m_1) e_c) (x) m_2 over the terms m of q_l Delta(e_a):
+        # q @ v1 sums over a, then S^-1 maps m_1 to s, then e_s e_c; v1s has
+        # rows (m_2 leg, S^-1(m_1) e_c leg) and columns d
+        moved = SparseMatrix(n, dim ** 3, dim, {
+            ((cd // dim * dim + xy % dim) * dim + cd % dim, xy // dim): v
+            for (xy, cd), v in (q @ v1).entries.items()}) @ sinv_t
+        acted = multiplied(SparseMatrix(n, dim * dim, dim * dim, {
+            (s * dim + cxd // dim ** 2, cxd % dim ** 2): v
+            for (cxd, s), v in moved.entries.items()}))
+        self.v1s = SparseMatrix(n, dim * dim, dim, {
+            (xd // dim * dim + r, xd % dim): v
+            for (r, xd), v in acted.entries.items()})
+        # the tail of the composite (outgoing straightening map, inverse
+        # associator, pivotal evaluation, t), folded: in column u of zs,
+        # Z_u = sum k t(e_R e_u) S(e_P) alpha e_Q over the coassociator
+        # terms k e_P (x) e_Q (x) e_R, and Y_x = sum c Z_u e_w over the
+        # terms (w, u) of Delta(e_x) p_l
+        zs = SparseMatrix(n, dim, dim)
         for (P, Q, R), k in H.coassociator.coeffs.items():
             z = A.mul_many(H.S(A.basis(P)), H.alpha, A.basis(Q))
-            tvec = {}
-            for b in range(dim):
-                val = self.t.evaluate(A.mul(A.basis(R), A.basis(b)))
-                if val:
-                    tvec[b] = val
-            if tvec:
-                self.post_terms.append((k, tvec, z))
-        # the tail of the composite (outgoing straightening map, inverse
-        # associator, pivotal evaluation, t), folded: Z_u = sum k tvec[u] z
-        # and Y_x = sum c Z_u e_w over the terms (w, u) of Delta(e_x) p_l
-        zs = {}
-        for k, tvec, z in self.post_terms:
-            for u, tv in tvec.items():
-                zs[u] = zs[u] + z.scale(k * tv) if u in zs else z.scale(k * tv)
-        y_rows = {}   # rows of left multiplication by Y_x, keyed by d
-        for x in range(dim):
-            y = TensorElement(H.n, 1)
-            mid = A.mul(H.delta(A.basis(x)), self.ce.p_l)
-            for (w, u), c in mid.coeffs.items():
-                if u in zs:
-                    y = y + A.mul(zs[u], A.basis(w)).scale(c)
-            if y:
-                y_rows[x] = _rows_by_output(A.left_mult_matrix(y))
-        # the composite with the map m left open:
-        # tails[x][x2][(r2, r)] = sum_d v1s[(x, r, d)] (Y_x2 e_r2)_d
-        self._tails = {}
-        for (x, r, d), val in self.v1s.items():
-            for x2, rows in y_rows.items():
-                mat = self._tails.setdefault(x, {}).setdefault(x2, {})
-                for r2, pv in rows.get(d, ()):
-                    cur = mat.get((r2, r))
-                    mat[(r2, r)] = val * pv if cur is None else cur + val * pv
+            for u in range(dim):
+                if tv := A.form_on_product(self.t, R, u):
+                    for (s,), c in z.coeffs.items():
+                        zs.add_to(s, u, k * tv * c)
 
-    def _sandwich(self, a, c):
-        """One column of the inverse straightening psi_l(e_c (x) e_a), with
-        keys (W-leg, H-leg) stored as (H-leg, W-leg)."""
-        key = (a, c)
-        col = self._sandwich_col.get(key)
-        if col is not None:
-            return col
-        A, H = self.A, self.H
-        col = {}
-        mid = A.mul(self.ce.q_l, H.delta(A.basis(a)))
-        for (x1, x2), cm in mid.coeffs.items():
-            s_act = A.mul(H.S_inv(A.basis(x1)), A.basis(c))
-            for (r,), cv in s_act.coeffs.items():
-                k2 = (x2, r)
-                cur = col.get(k2)
-                col[k2] = cm * cv if cur is None else cur + cm * cv
-        col = {k: v for k, v in col.items() if v}
-        self._sandwich_col[key] = col
-        return col
+        def folded(elems):
+            """Column x: sum c E_u e_w over the terms c e_w (x) e_u of
+            Delta(e_x) p_l, with E_u column u of elems."""
+            prod = elems @ SparseMatrix(n, dim, dim * dim, {
+                (wu % dim, wu // dim * dim + x): c
+                for (wu, x), c in dp.entries.items()})
+            return multiplied(SparseMatrix(n, dim * dim, dim, {
+                (s * dim + wx // dim, wx % dim): c
+                for (s, wx), c in prod.entries.items()}))
 
-    def _apply_sandwich_legs(self, v1):
-        out = {}
-        for (d, c, a), val in v1.items():
-            for (x, r), cv in self._sandwich(a, c).items():
-                key = (x, r, d)
-                cur = out.get(key)
-                out[key] = val * cv if cur is None else cur + val * cv
-        return {k: v for k, v in out.items() if v}
+        # e(a) of lhs_matrix in column a; the t-shifts sum t(m_2) S^-1(m_1)
+        # over the terms m of q_l Delta(e_y): q contracted with t, then S^-1
+        shifts = sinv_t.transpose() @ (SparseMatrix(n, dim, dim * dim, {
+            (x, x * dim + y): tv for (y,), tv in self.t.coeffs.items()
+            for x in range(dim)}) @ q)
+        self._lhs = folded(shifts)
+        # the composite with the map m left open: rows (x, r) and columns
+        # (x2, r2) of tails hold sum_d v1s[(x, r), d] (Y_x2 e_r2)_d
+        tails = self.v1s @ multiplied(SparseMatrix(n, dim * dim, dim * dim, {
+            (s * dim + r2, x2 * dim + r2): c
+            for (s, x2), c in folded(zs).entries.items() for r2 in range(dim)}))
+        rhs = SparseMatrix(n, dim * dim, dim * dim, {
+            (yr2 % dim * dim + xr % dim, xr // dim * dim + yr2 // dim): v
+            for (xr, yr2), v in tails.entries.items()})
+        # rhs_matrix(e_a) in column a, with (e_x e_a)_x2 from the table
+        used = {xx for _, xx in rhs.entries}
+        self._rhs = rhs @ SparseMatrix(n, dim * dim, dim, {
+            (x * dim + x2, a): c for (x, a), cell in A.table.items()
+            for x2, c in cell.items() if x * dim + x2 in used})
 
     def rhs_matrix(self, a_elem):
-        """The coefficient matrix of the composite side at a, the sum of
-        (e_x a)_x2 tails[x][x2]: entry (r2, r) is the sum over (x, r, d) in
-        v1s of val sum_x2 (e_x a)_x2 (Y_x2 e_r2)_d.
+        """The coefficient matrix of the composite side at a: entry (r2, r)
+        is the sum over the entries val at ((x, r), d) of v1s of
+        val sum_x2 (e_x a)_x2 (Y_x2 e_r2)_d, linear in a.
 
         Stage by stage the tail gives sum c (Z_u (e_w e_r2))_d there; that
         Z_u (e_w e_y) = (Z_u e_w) e_y is associativity, which check_axioms
         proves.
         """
-        A, n, dim = self.A, self.H.n, self.H.dim
-        out = {}
-        for x, tails in self._tails.items():
-            for (x2,), c in A.mul(A.basis(x), a_elem).coeffs.items():
-                for key, v in tails.get(x2, {}).items():
-                    cur = out.get(key)
-                    out[key] = c * v if cur is None else cur + c * v
-        return SparseMatrix(n, dim, dim, {k: v for k, v in out.items() if v})
+        dim = self.H.dim
+        got = self._rhs.apply({a: c for (a,), c in a_elem.coeffs.items()})
+        return SparseMatrix(self.H.n, dim, dim,
+                            {divmod(k, dim): v for k, v in got.items()})
 
     def lhs_matrix(self, a_elem):
         """The coefficient matrix of the presentation side at a: the
         presentation sum folded into trace-of-operator form is the transpose
-        of left multiplication by an element e(a)."""
-        A, H = self.A, self.H
-        e_parts = TensorElement(H.n, 1)
-        mid = A.mul(H.delta(a_elem), self.ce.p_l)
-        for (x, y), c in mid.coeffs.items():
-            t_shift = self._t_shift(y)
-            if t_shift is not None:
-                e_parts = e_parts + A.mul(t_shift, A.basis(x)).scale(c)
-        return A.left_mult_matrix(e_parts).transpose()
-
-    def _t_shift(self, y):
-        """sum t(m_2) S^-1(m_1) over the terms m of q_l Delta(e_y), or None
-        when it is zero; cached per basis y."""
-        cache = self._t_shifts
-        if y not in cache:
-            A, H = self.A, self.H
-            acc = TensorElement(H.n, 1)
-            mid = A.mul(self.ce.q_l, H.delta(A.basis(y)))
-            for (y1, y2), c in mid.coeffs.items():
-                tv = self.t.coeffs.get((y2,))
-                if tv is not None:
-                    acc = acc + H.S_inv(A.basis(y1)).scale(c * tv)
-            cache[y] = acc if acc else None
-        return cache[y]
+        of left multiplication by an element e(a) = sum c t_shift(y) e_x
+        over the terms (x, y) of Delta(a) p_l, linear in a."""
+        e = self._lhs.apply({a: c for (a,), c in a_elem.coeffs.items()})
+        return self.A.left_mult_matrix(TensorElement.wrap(
+            self.H.n, 1, {(k,): v for k, v in e.items()})).transpose()
 
 
 def verify_reduction(H, tr, sides=("right", "left"), *, sample_budget=None,
@@ -433,7 +392,6 @@ def verify_reduction(H, tr, sides=("right", "left"), *, sample_budget=None,
     A = H.alg
     eps = Modulus(H.counit)
     e = [A.basis(a) for a in range(H.dim)]
-    keys = [repr(sorted(x.coeffs)) for x in e]
     for side in sides:
         c = report.add(Check(side))
         closed = check_symmetrised(H, tr.form, eps, side)
@@ -441,7 +399,7 @@ def verify_reduction(H, tr, sides=("right", "left"), *, sample_budget=None,
                 witness=closed.find("characterisation").witness)
         checker = ReductionChecker(
             H.coopposite() if side == "right" else H, tr.form)
-        check_every(c, keys,
+        check_every(c, A.labels,
                     "straightened endomorphisms, exhaustive over basis pairs",
                     [(a,) for a in range(H.dim)],
                     lambda a: checker.lhs_matrix(e[a])
@@ -472,51 +430,3 @@ def pairing_nondegeneracy(H, tr, M, P, pres):
     report.check("pairing rank", rank == len(maps_mp), value=str(rank))
     return report
 
-
-def symmetric_trace_space(H):
-    """Brute-force the symmetric forms satisfying the right reduction
-    condition, as a linear system over the dim(H) coefficients of t."""
-    A = H.alg
-    dim = H.dim
-    ce = H.canonical_elements()
-    p = H.require_pivotal()
-    red = RowReducer(H.n, dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            row = {}
-            for (k,), c in A.mul(A.basis(i), A.basis(j)).coeffs.items():
-                cur = row.get(k)
-                row[k] = c if cur is None else cur + c
-            for (k,), c in A.mul(A.basis(j), A.basis(i)).coeffs.items():
-                cur = row.get(k)
-                row[k] = -c if cur is None else cur - c
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                red.add_row(row)
-    unit_coords = {i: c for (i,), c in A.unit.coeffs.items()}
-    for a in range(dim):
-        mid = A.mul(A.mul(ce.q_r, H.delta(A.basis(a))), ce.p_r)
-        rows = {}
-        for (x, y), c in mid.coeffs.items():
-            gy = A.mul(p.pivot, A.basis(y))
-            for (r,), cg in gy.coeffs.items():
-                row = rows.setdefault(r, {})
-                cur = row.get(x)
-                row[x] = c * cg if cur is None else cur + c * cg
-        for r, uc in unit_coords.items():
-            row = rows.setdefault(r, {})
-            cur = row.get(a)
-            row[a] = -uc if cur is None else cur - uc
-        for row in rows.values():
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                red.add_row(row)
-    return [LinearForm(H.n, 1, {(i,): c for i, c in enumerate(vec) if c})
-            for vec in red.nullspace()]
-
-
-def _rows_by_output(matrix):
-    rows = {}
-    for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, []).append((c, v))
-    return rows

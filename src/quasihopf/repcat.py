@@ -29,6 +29,7 @@ constructor here yields H-linear maps, and Hom-spaces are computed as exact
 nullspaces of the intertwining constraints.
 """
 
+from quasihopf.algcore import sandwiches
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix, kron_sum
 from quasihopf.qha import MissingPivotalData
 
@@ -359,7 +360,8 @@ def phi_psi(H, V):
     The second legs act through the module structure of V, stacked into one
     matrix with rows (r, v) and columns y; for psi it is first composed with
     the matrix of S (resp. S^-1).  Each map is then one product of that
-    action with the matrix of h -> mid(h), re-keyed.
+    action with the sandwich matrix of h -> mid(h) for every basis h
+    (algcore.sandwiches), re-keyed.
     """
     A = H.alg
     ce = H.canonical_elements()
@@ -376,28 +378,28 @@ def phi_psi(H, V):
 
     deltas = H.delta_images
     phi_r = _straightening(TensorRep(reg, triv), TensorRep(reg, V), act,
-                           [A.mul(d, ce.p_r) for d in deltas], True)
+                           sandwiches(A, deltas, Y=ce.p_r), True)
     psi_r = _straightening(TensorRep(reg, V), TensorRep(reg, triv),
                            through(H.antipode_images),
-                           [A.mul(ce.q_r, d) for d in deltas], True)
+                           sandwiches(A, deltas, X=ce.q_r), True)
     phi_l = _straightening(TensorRep(triv, reg), TensorRep(V, reg), act,
-                           [A.mul(d, ce.p_l) for d in deltas], False)
+                           sandwiches(A, deltas, Y=ce.p_l), False)
     psi_l = _straightening(TensorRep(V, reg), TensorRep(triv, reg),
                            through(H.antipode_inv_images),
-                           [A.mul(ce.q_l, d) for d in deltas], False)
+                           sandwiches(A, deltas, X=ce.q_l), False)
     return phi_r, psi_r, phi_l, psi_l
 
 
 def _straightening(source, target, act, mids, right):
-    """The map (h, v) -> sum c x (x) act(y) e_v over the terms c x (x) y of
-    mids[h] (right), or the same with the legs swapped, (v, h) -> sum
-    c act(x) e_v (x) y (left): the product of act, rows (r, v) and columns
-    the acting leg, with mids keyed by the acting leg and (other leg, h)."""
+    """The map (h, v) -> sum c x (x) act(y) e_v over the terms c x (x) y in
+    column h of the sandwich matrix mids (right), or with the legs swapped,
+    (v, h) -> sum c act(x) e_v (x) y (left): the product of act, rows (r, v)
+    and columns the acting leg, with mids re-keyed by (other leg, h)."""
     n, D = source.H.n, source.H.dim
     dv = source.dim // D
     mid = SparseMatrix(n, D, D * D, {
-        ((y, x * D + h) if right else (x, y * D + h)): c
-        for h, el in enumerate(mids) for (x, y), c in el.coeffs.items()})
+        ((xy % D, xy // D * D + h) if right else (xy // D, xy % D * D + h)): c
+        for (xy, h), c in mids.entries.items()})
     entries = {}
     for (rv, oh), c in (act @ mid).entries.items():
         r, v = divmod(rv, dv)

@@ -20,7 +20,6 @@ from quasihopf.modtrace import (
     evaluate,
     from_symmetrised_cointegral,
     pairing_nondegeneracy,
-    symmetric_trace_space,
     tensor_presentation,
     trivial_presentation,
     verify_reduction,
@@ -46,6 +45,7 @@ from .helpers import (
     sweedler,
     z4,
 )
+from .references import symmetric_trace_space
 
 
 def _report(num, text):

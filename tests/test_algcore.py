@@ -12,10 +12,14 @@ from quasihopf.algcore import (
     flip,
     hit_elem_left,
     hit_elem_right,
+    sandwiches,
 )
-from quasihopf.exactmath import Scalar
+from quasihopf.exactmath import Scalar, SparseMatrix
+from quasihopf.intcoint import modulus
+from quasihopf.qha import derive_UVu
 
-from .helpers import q_fixture, z2
+from .helpers import q_fixture, sweedler, z2, z4
+from .references import reference_sandwich
 
 
 def test_group_algebra_product():
@@ -151,3 +155,67 @@ def test_contract_is_bilinear(d1, d2, c):
     lhs = f.contract(x + y.scale(Scalar.from_int(n, c)), (1,))
     rhs = f.contract(x, (1,)) + f.contract(y, (1,)).scale(Scalar.from_int(n, c))
     assert lhs == rhs
+
+
+def _reference_sandwiches(Hq, X, Y):
+    """The per-h reference loop, stacked like sandwiches: rows (x, y),
+    columns h."""
+    dim = Hq.dim
+    return SparseMatrix(Hq.n, dim * dim, dim, {
+        (x * dim + y, h): c for h in range(dim)
+        for (x, y), c in reference_sandwich(Hq, h, X, Y).coeffs.items()})
+
+
+_SANDWICHED = {
+    "z2": z2, "z4": z4, "sweedler": sweedler,
+    **{f"q1-z8^{k}": (lambda k=k: q_fixture(1, k).H) for k in (1, 3, 5, 7)},
+    **{f"q2-z8^{k}": (lambda k=k: q_fixture(2, k).H) for k in (0, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SANDWICHED))
+def test_sandwiches_match_the_per_basis_reference(name):
+    """Every pair the engine sandwiches Delta(h) with: (V, U) of the
+    cointegral system, (1, p_l) and (q_l, 1) of the reduction checker,
+    (q_r, p_r) and the one-sided pairs of the straightening maps, on H and
+    on H^cop."""
+    H = _SANDWICHED[name]()
+    gamma = modulus(H)
+    for Hq in (H, H.coopposite()):
+        ce = Hq.canonical_elements()
+        cap_u, cap_v, _ = derive_UVu(Hq, gamma.form)
+        for X, Y in ((cap_v, cap_u), (None, ce.p_l), (ce.q_l, None),
+                     (ce.q_r, ce.p_r), (None, ce.p_r), (ce.q_r, None),
+                     (None, None)):
+            assert sandwiches(Hq.alg, Hq.delta_images, X, Y) == \
+                _reference_sandwiches(Hq, X, Y)
+
+
+# two second legs that do not commute, so that a fault in the order of the
+# second-leg products shows; no canonical pair of a shipped algebra has them
+_NONCOMMUTING = {"q1": ("f1+", "f1-"), "sweedler": ("g", "x")}
+_ALGEBRAS = {"q1": lambda: q_fixture(1, 7).H, "sweedler": sweedler}
+
+
+def _arbitrary_pair_element(data, H, legs):
+    index = st.integers(0, H.dim - 1)
+    terms = data.draw(st.dictionaries(st.tuples(index, index),
+                                      st.integers(-3, 3).filter(bool),
+                                      max_size=4))
+    for leg in legs:
+        terms[data.draw(index), H.alg.labels.index(leg)] = \
+            data.draw(st.integers(1, 3))
+    return TensorElement(H.n, 2, {k: Scalar.from_int(H.n, v)
+                                  for k, v in terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sandwiches_of_arbitrary_sparse_elements(data):
+    name = data.draw(st.sampled_from(sorted(_ALGEBRAS)))
+    H = _ALGEBRAS[name]()
+    X = _arbitrary_pair_element(data, H, _NONCOMMUTING[name])
+    Y = _arbitrary_pair_element(data, H, _NONCOMMUTING[name])
+    for x, y in ((X, Y), (X, None), (None, Y)):
+        assert sandwiches(H.alg, H.delta_images, x, y) == \
+            _reference_sandwiches(H, x, y)

@@ -18,6 +18,7 @@ from .helpers import (
     z4,
 )
 from .oracles import dense_nullspace, dense_rank
+from .references import reference_sandwich
 
 
 def test_group_algebra_integral():
@@ -421,13 +422,6 @@ def test_form_on_product_matches_multiplication(make):
                     form.evaluate(A.mul(A.basis(i), A.basis(j)))
 
 
-def _reference_mid(Hq, h):
-    """q_r Delta(e_h) p_r on Hq, as an order-2 element."""
-    A = Hq.alg
-    ce = Hq.canonical_elements()
-    return A.mul(A.mul(ce.q_r, Hq.delta(A.basis(h))), ce.p_r)
-
-
 def _reference_characterisation(H, sym, gamma, side):
     """The per-basis loop that check_symmetrised replaced: q_r Delta(h) p_r
     built as an order-2 element, sym contracted into its first leg after
@@ -436,8 +430,9 @@ def _reference_characterisation(H, sym, gamma, side):
     Hq = intcoint.side_algebra(H, side)
     A = H.alg
     p = Hq.require_pivotal()
+    ce = Hq.canonical_elements()
     for h in range(H.dim):
-        mid = _reference_mid(Hq, h)
+        mid = reference_sandwich(Hq, h, ce.q_r, ce.p_r)
         rhs = TensorElement(H.n, 1)
         for (p1, p2, p3), c in Hq.coassociator.coeffs.items():
             v = gamma.of(A.basis(p1)) * c \
@@ -522,7 +517,9 @@ def test_first_leg_contraction_matches_the_reference_values(name):
     H = _CHARACTERISED[name]()
     for side in ("right", "left"):
         Hq = intcoint.side_algebra(H, side)
-        mids = [_reference_mid(Hq, h) for h in range(H.dim)]
+        ce = Hq.canonical_elements()
+        mids = [reference_sandwich(Hq, h, ce.q_r, ce.p_r)
+                for h in range(H.dim)]
         for k in range(H.dim):
             form = LinearForm(H.n, 1, {(k,): Scalar.one(H.n)})
             want = {h: v.coeffs for h, mid in enumerate(mids)

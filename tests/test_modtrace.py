@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quasihopf import cli, intcoint
-from quasihopf.algcore import LinearForm, TensorElement
+from quasihopf.algcore import AlgebraData, LinearForm, TensorElement
 from quasihopf.exactmath import Scalar, SparseMatrix
 from quasihopf.modtrace import (
     BadPresentation,
@@ -16,7 +16,6 @@ from quasihopf.modtrace import (
     from_symmetrised_cointegral,
     pairing_nondegeneracy,
     presentation_from_idempotent,
-    symmetric_trace_space,
     tensor_presentation,
     trivial_presentation,
     verify_reduction,
@@ -36,6 +35,7 @@ from quasihopf.sympferm import build
 
 from .categorical import is_intertwiner, is_module, xi_left
 from .helpers import cointegral_bundle, proportional, q_fixture, sweedler, z2, z4
+from .references import reference_sandwich, symmetric_trace_space
 
 
 def _trace_for(fx):
@@ -191,7 +191,7 @@ def test_reduction_mutation_fails_with_witness():
     assert not closed.passed and closed.witness == "f1+f1-"
     straightened = rep.find(
         "straightened endomorphisms, exhaustive over basis pairs")
-    assert not straightened.passed and straightened.witness == "[(12,)]"
+    assert not straightened.passed and straightened.witness == "f1+f1-"
 
 
 def _wrong_form(fx):
@@ -210,6 +210,19 @@ class _StagedRhs:
     def __init__(self, ck):
         self.ck = ck
         self._phipost = {}
+        # per coassociator term k e_P (x) e_Q (x) e_R: k, the weights
+        # t(e_R e_b) and the element S(e_P) alpha e_Q
+        A, H = ck.A, ck.H
+        self.post_terms = []
+        for (P, Q, R), k in H.coassociator.coeffs.items():
+            z = A.mul_many(H.S(A.basis(P)), H.alpha, A.basis(Q))
+            tvec = {}
+            for b in range(H.dim):
+                val = ck.t.evaluate(A.mul(A.basis(R), A.basis(b)))
+                if val:
+                    tvec[b] = val
+            if tvec:
+                self.post_terms.append((k, tvec, z))
 
     def _phipost_at(self, x, y):
         """Fold of the outgoing straightening map with the tail of the
@@ -221,11 +234,11 @@ class _StagedRhs:
         ck = self.ck
         A, H = ck.A, ck.H
         out = {}
-        mid = A.mul(H.delta(A.basis(x)), ck.ce.p_l)
+        mid = reference_sandwich(H, x, Y=ck.ce.p_l)
         for (w, u), c in mid.coeffs.items():
             w_act = A.mul(A.basis(w), A.basis(y))
             for (w2,), c2 in w_act.coeffs.items():
-                for k, tvec, z in ck.post_terms:
+                for k, tvec, z in self.post_terms:
                     tv = tvec.get(u)
                     if tv is None:
                         continue
@@ -244,7 +257,8 @@ class _StagedRhs:
         for (r2, r), v in m.entries.items():
             mcols.setdefault(r, []).append((r2, v))
         v2 = {}
-        for (x, r, d), val in self.ck.v1s.items():
+        for (xr, d), val in self.ck.v1s.entries.items():
+            x, r = divmod(xr, self.ck.H.dim)
             cols = mcols.get(r)
             if not cols:
                 continue
@@ -277,14 +291,24 @@ def _staged_lhs(ck, e, m):
     return total
 
 
-def _lhs_element(ck, a_elem):
-    """e(a) = sum c t_shift(y) e_x over the terms (x, y) of Delta(a) p_l."""
+def _t_shift(ck, y):
+    """sum t(m_2) S^-1(m_1) over the terms m of q_l Delta(e_y)."""
+    A, H = ck.A, ck.H
+    acc = TensorElement(H.n, 1)
+    for (y1, y2), c in reference_sandwich(H, y, X=ck.ce.q_l).coeffs.items():
+        tv = ck.t.coeffs.get((y2,))
+        if tv is not None:
+            acc = acc + H.S_inv(A.basis(y1)).scale(c * tv)
+    return acc
+
+
+def _lhs_element(ck, a):
+    """e(e_a) = sum c t_shift(y) e_x over the terms (x, y) of
+    Delta(e_a) p_l."""
     A = ck.A
     e = TensorElement(ck.H.n, 1)
-    for (x, y), c in A.mul(ck.H.delta(a_elem), ck.ce.p_l).coeffs.items():
-        shift = ck._t_shift(y)
-        if shift is not None:
-            e = e + A.mul(shift, A.basis(x)).scale(c)
+    for (x, y), c in reference_sandwich(ck.H, a, Y=ck.ce.p_l).coeffs.items():
+        e = e + A.mul(_t_shift(ck, y), A.basis(x)).scale(c)
     return e
 
 
@@ -347,7 +371,7 @@ def test_extracted_matrices_match_both_sides_on_every_basis_pair():
             for a in range(H.dim):
                 a_elem = H.alg.basis(a)
                 lm, rm = ck.lhs_matrix(a_elem), ck.rhs_matrix(a_elem)
-                e = _lhs_element(ck, a_elem)
+                e = _lhs_element(ck, a)
                 assert lm.rows == lm.cols == rm.rows == rm.cols == H.dim
                 for j in range(H.dim):
                     for k in range(H.dim):
@@ -357,6 +381,40 @@ def test_extracted_matrices_match_both_sides_on_every_basis_pair():
                         assert rm.get(j, k) == staged_rhs(a_elem, e_jk)
                         nonzero += lhs != zero
             assert nonzero > 0
+
+
+@pytest.mark.parametrize("N, power", [(1, 7), (2, 2)])
+def test_reduction_checker_products_do_not_grow_with_dim(monkeypatch, N,
+                                                          power):
+    """ReductionChecker set-up plus lhs_matrix and rhs_matrix on every basis
+    a, with the canonical elements built, make no order-2 AlgebraData.mul
+    call and 33 kernel products, on each side of Q(1, z8^7) (dim 16) and
+    Q(2, z8^2) (dim 64): two per term of the inverse coassociator, which has
+    8 on both, and 17 more.  With one sandwich product per basis element it
+    was 80 and 320 order-2 calls per side."""
+    fx = q_fixture(N, power)
+    H = fx.H
+    mul, matmul = AlgebraData.mul, SparseMatrix.__matmul__
+    for Hq in (H.coopposite(), H):
+        Hq.canonical_elements()
+        calls = {"order 2": 0, "@": 0}
+
+        def counted_mul(self, x, y):
+            calls["order 2"] += x.order == 2
+            return mul(self, x, y)
+
+        def counted_matmul(self, other):
+            calls["@"] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(AlgebraData, "mul", counted_mul)
+        monkeypatch.setattr(SparseMatrix, "__matmul__", counted_matmul)
+        ck = ReductionChecker(Hq, fx.symmetrised_cointegral)
+        for a in range(H.dim):
+            ck.lhs_matrix(H.alg.basis(a))
+            ck.rhs_matrix(H.alg.basis(a))
+        monkeypatch.undo()
+        assert calls == {"order 2": 0, "@": 33}
 
 
 def test_pairing_nondegenerate_and_counit_control():
