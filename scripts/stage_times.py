@@ -7,9 +7,10 @@ The stages are those of `quasihopf sympferm` followed by `quasihopf verify
 --suite all`: build, check_axioms, integrals + modulus, cointegrals (right),
 symmetrise, from_symmetrised_cointegral, verify_reduction (both sides) and
 the pairing of the trivial module with H.  Every check is exhaustive, as in
-the CLI.  The report is one JSON object: each stage's seconds and verdict,
-their total and the process peak RSS.  The exit code is 1 if any stage's
-check fails.
+the CLI.  The report is one JSON object: each stage's seconds, verdict and
+the process peak RSS at its end (so the stage that sets the peak is the
+first whose figure reaches it), their total and the process peak RSS.  The
+exit code is 1 if any stage's check fails.
 """
 
 import argparse
@@ -38,9 +39,10 @@ def stages(N, beta):
         return True
 
     def run_integrals():
+        # solves the left integral and caches it with the modulus on H, where
+        # the cointegral stage reads both
         H = got["H"]
-        left = intcoint.integrals(H, "left")
-        return intcoint.modulus(H, left.basis[0]).is_counit(H)
+        return intcoint.modulus(H).is_counit(H)
 
     def run_cointegrals():
         got["co"] = intcoint.cointegrals(got["H"], "right")
@@ -97,7 +99,8 @@ def main(argv=None):
             passed = thunk()
             rows.append({"stage": name,
                          "s": round(time.perf_counter() - t0, 3),
-                         "passed": passed})
+                         "passed": passed,
+                         "peak_rss_mib": round(peak_rss_mib(), 1)})
     except BadBeta as e:
         ap.error(str(e))
     print(json.dumps({"n": args.n, "beta": args.beta, "stages": rows,

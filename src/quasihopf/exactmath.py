@@ -268,13 +268,14 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse: den/num for a rational scalar, else via
+        the extended Euclidean algorithm in Q[x]."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
         n = self.n
         d = field_degree(n)
-        if d == 1:
-            return Scalar(n, (self.den,), self.num[0])
+        if not any(self.num[1:]):
+            return Scalar(n, (self.den,) + (0,) * (d - 1), self.num[0])
         phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
         a = [Fraction(c, self.den) for c in self.num]
         # invariant: r0 = s0*a mod phi, r1 = s1*a mod phi

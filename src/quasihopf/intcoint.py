@@ -23,10 +23,24 @@ A left cointegral is a form lam with
 
 for all h, where U = f^-1 (S (x) S)(q_r flipped) and
 V = (S^-1 (x) S^-1)(f_21 p_r_21).  A right cointegral is a left cointegral
-for the coopposite algebra.  Both are solved as one stacked sparse linear
-system in the dim(H) dual coefficients, with V Delta(h) U for every basis h
-from one algcore.sandwiches matrix; the solution space must come out
-exactly one-dimensional.
+for the coopposite algebra.  The equation is linear in the dim(H) dual
+coefficients of lam, one block of rows per basis h, and linear in h.  The
+left integral L (kept with the modulus) gives the block at h = L, the sum
+of the basis blocks weighted by L's coefficients; as L x = gamma(x) L, its
+right-hand side is lam(L) (gamma (x) gamma S (x) id)(Phi).  It has dim(H)
+rows, and on Z2, Z4, Sweedler's algebra and Q(N, beta) for N <= 3 its
+nullspace is already the cointegral line.  Its rows are combinations of
+the full system's rows, so its nullspace contains the full one.  The solve
+is check-before-reduce, as for integrals, with the L-block reduced first:
+every vector of the current nullspace is checked at every basis h at once
+(lam contracted into the second leg of V Delta(h) U, against
+lam(h S(Phi_2)) for every h, each two kernel products), and only the
+block of a failing h joins the reducer.  The final space lies in the
+nullspace of a subset of combinations of the full rows, so it contains the
+full nullspace, and it satisfies every h, so it lies inside it.  The two
+row spaces are therefore equal, and as the reduced row echelon form is
+unique, the basis is the full system's canonical basis, element for
+element.  It must come out exactly one-dimensional.
 
 The symmetrised cointegrals are the shifts
 
@@ -50,7 +64,7 @@ One path per one-sided pair.  H^cop has H's algebra and counit, pivot
 g^-1, antipode S^-1, q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21
 (pinned by test_opposite_and_coopposite), so each left-side statement on H
 is the right-side statement on H.coopposite(), and u_cop is u of H^cop.
-cointegrals writes the left system and solves the right side on H^cop;
+cointegrals writes the left equation and solves the right side on H^cop;
 symmetrise, check_symmetrised, check_nakayama and check_twisted_symmetry
 write the right side and run the left side on H^cop (side_algebra).  The
 modulus is H's and is passed in, and report names and witnesses keep the
@@ -59,7 +73,7 @@ side that was asked for.
 
 from dataclasses import dataclass
 
-from quasihopf.algcore import LinearForm, TensorElement, sandwiches
+from quasihopf.algcore import LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix
 from quasihopf.qha import QuasiHopfError, derive_UVu
 from quasihopf.report import Check, check_every
@@ -90,6 +104,7 @@ class IntegralSpace:
 @dataclass
 class Modulus:
     form: LinearForm
+    integral: TensorElement = None   # the left integral gamma was read from
 
     def of(self, x):
         return self.form.evaluate(x)
@@ -152,8 +167,9 @@ def integrals(H, side="left"):
 def modulus(H, left_integral=None):
     """gamma with L h = gamma(h) L, verified multiplicative.
 
-    Without an explicit integral the result is computed once and cached on
-    H; a given integral is always verified afresh.
+    Without an explicit integral the result, which keeps the left integral
+    it was read from, is computed once and cached on H; a given integral is
+    always verified afresh.
     """
     if left_integral is not None:
         return _modulus_from(H, left_integral)
@@ -183,7 +199,7 @@ def _modulus_from(H, L):
                        [bad] if bad else [], lambda *_: False)
     if not mult.passed:
         raise InconsistentModulus(f"gamma not multiplicative at {mult.witness}")
-    return Modulus(form)
+    return Modulus(form, L)
 
 
 def _multiplicative_failure(A, form):
@@ -212,56 +228,104 @@ def _values_on_products(A, form):
         for k, c in cell.items() if k in coords}).apply(coords)
 
 
-def _left_cointegral_rows(H, gamma):
-    """Rows of the stacked left-cointegral system, one block per basis h."""
-    A = H.alg
-    dim = H.dim
-    zero = Scalar.zero(H.n)
-    cap_u, cap_v, _ = derive_UVu(H, gamma.form)
-    # gamma(Phi_1) c, S(Phi_2) and Phi_3 of each coassociator term, once
-    terms = [(weight, H.S(A.basis(p2)), p3)
-             for (p1, p2, p3), c in H.coassociator.coeffs.items()
-             if (weight := gamma.of(A.basis(p1)) * c)]
-    blocks = {}
-    for (xy, h), c in sandwiches(A, H.delta_images, cap_v, cap_u).entries.items():
-        blocks.setdefault(h, {}).setdefault(xy // dim, {})[xy % dim] = c
-    for h in range(dim):
-        rows = blocks.get(h, {})
-        for weight, s2, p3 in terms:
+class _LeftCointegralEquation:
+    """The left-cointegral equation on Hq, at an element z of Hq:
+
+        (id (x) lam)(V Delta(z) U) = sum_t w_t lam(z S(Phi_2)) Phi_3,
+
+    with w_t = gamma(Phi_1) c_t over the terms c_t Phi_1 (x) Phi_2 (x) Phi_3
+    of the coassociator.  At a basis element z = e_h it is h's block of the
+    full system; it is linear in z."""
+
+    def __init__(self, Hq, gamma):
+        A = self.A = Hq.alg
+        self.Hq = Hq
+        self.cap_u, self.cap_v, _ = derive_UVu(Hq, gamma.form)
+        # gamma(Phi_1) c, S(Phi_2) and Phi_3 of each coassociator term, once
+        self.terms = [(w, Hq.S(A.basis(p2)), p3)
+                      for (p1, p2, p3), c in Hq.coassociator.coeffs.items()
+                      if (w := gamma.of(A.basis(p1)) * c)]
+        # sum_t w_t Phi_3 (x) S(Phi_2), paired with lam(h S(Phi_2))
+        self.tails = SparseMatrix(Hq.n, Hq.dim, Hq.dim)
+        for w, s2, p3 in self.terms:
+            for (j,), d in s2.coeffs.items():
+                self.tails.add_to(p3, j, w * d)
+
+    def rows(self, z):
+        """The equation at z as rows over lam's coordinates, one per
+        coordinate of the output; rows that vanish are left out."""
+        A = self.A
+        zero = Scalar.zero(A.n)
+        rows = {}
+        mid = A.mul(A.mul(self.cap_v, self.Hq.delta(z)), self.cap_u)
+        for (x, y), c in mid.coeffs.items():
+            rows.setdefault(x, {})[y] = c
+        for w, s2, p3 in self.terms:
             row = rows.setdefault(p3, {})
-            for (w,), d in A.mul(A.basis(h), s2).coeffs.items():
-                row[w] = row.get(w, zero) - weight * d
-        yield from filter(None, ({k: v for k, v in row.items() if v}
-                                 for row in rows.values()))
+            for (k,), d in A.mul(z, s2).coeffs.items():
+                row[k] = row.get(k, zero) - w * d
+        return [r for row in rows.values()
+                if (r := {k: v for k, v in row.items() if v})]
+
+    def first_failure(self, lam):
+        """The least basis index h at which lam fails the equation, None if
+        it holds at every h: both sides for every h at once, lam contracted
+        into the second leg of V Delta(h) U (_leg_contracted) against
+        _weighted_products."""
+        lhs = _leg_contracted(self.Hq, lam, 1, self.cap_v, self.cap_u)
+        rhs = _weighted_products(self.A, lam, self.tails, True)
+        return _first_difference(lhs, rhs)
+
+
+def _left_cointegral_space(Hq, gamma, first):
+    """Canonical basis of the left cointegrals of Hq, as sparse {i: Scalar}
+    dicts, solved by checking before reducing (module docstring): the
+    blocks at the elements of `first` are reduced, then, while some vector
+    of the space fails the equation, the block of its least failing basis
+    element.  cointegrals passes the left integral as `first`."""
+    eq = _LeftCointegralEquation(Hq, gamma)
+    red = RowReducer(Hq.n, Hq.dim)
+    for z in first:
+        for row in eq.rows(z):
+            red.add_row(row)
+    while True:
+        space = red.null_vectors()
+        bad = next((h for v in space if (h := eq.first_failure(
+            LinearForm(Hq.n, 1, {(i,): c for i, c in v.items()})))
+            is not None), None)
+        if bad is None:
+            return space
+        for row in eq.rows(Hq.alg.basis(bad)):
+            red.add_row(row)
 
 
 def cointegrals(H, side="right", pin=None):
     """Solve the cointegral system; the solution space must be 1-dimensional.
 
     Normalization: the first nonzero coefficient (dual-basis order) is scaled
-    to match `pin` when a reference form is supplied, else to 1.
+    to match `pin` when a reference form is supplied, else to 1.  A pin with
+    no coefficient there raises VerificationFailed.
     """
     H.require_pivotal()
     Hq = H.coopposite() if side == "right" else H
     gamma = modulus(H)  # H^cop has H's algebra and counit, hence H's modulus
-    red = RowReducer(H.n, H.dim)
-    for row in _left_cointegral_rows(Hq, gamma):
-        red.add_row(row)
-    basis = red.nullspace()
+    basis = _left_cointegral_space(Hq, gamma, [gamma.integral])
     if len(basis) != 1:
         raise WrongSolutionDim(
             f"{side} cointegral space has dimension {len(basis)}, expected 1")
     vec = basis[0]
-    first = next(i for i, c in enumerate(vec) if c)
-    scale = Scalar.one(H.n)
+    first = min(vec)
     if pin is not None:
         target = pin.coeffs.get((first,))
-        if target:
-            scale = target / vec[first]
+        if not target:
+            raise VerificationFailed(
+                f"reference cointegral has no coefficient at "
+                f"{H.alg.labels[first]}, the first nonzero coordinate of "
+                f"the {side} cointegral")
+        scale = target / vec[first]
     else:
         scale = vec[first].inverse()
-    form = LinearForm(H.n, 1, {(i,): c * scale
-                               for i, c in enumerate(vec) if c})
+    form = LinearForm(H.n, 1, {(i,): c * scale for i, c in vec.items()})
     return CointegralResult(side, form, scale)
 
 
@@ -296,20 +360,11 @@ def check_symmetrised(H, sym, gamma, side):
     is the closed-form reduction condition, as (eps (x) id (x) id)(Phi) =
     1 (x) 1 and S(1) = 1 follow from the axioms check_axioms proves.
 
-    The left-hand side is linear in each leg, so sym is contracted into the
-    first leg before anything is multiplied: with q_r = sum c_q q1 (x) q2,
-    p_r = sum c_p p1 (x) p2 and Delta(h) = sum D(h)_ab e_a (x) e_b,
-
-        (sym (x) id)(q_r Delta(h) p_r)
-            = sum_(q2, p2) q2 [sum_ab D(h)_ab s_(q2, p2)(a) e_b] p2,
-        s_(q2, p2)(a) = sum c_q c_p sym(q1 e_a p1)
-
-    over the terms with those second legs, and sym(q1 e_a p1) is read from
-    the table as sum_k T[q1, a][k] sym(e_k e_p1).  That is two kernel
-    products for every h at once: (rows (b, h), columns a) @ (rows a,
-    columns (q2, p2)), re-keyed to rows ((q2, p2), b) and columns h, then
-    (rows k, columns ((q2, p2), b): the coordinates of q2 e_b p2) @ that;
-    column h of the result is the left-hand side at h.
+    Both sides are computed for every h at once: sym is contracted into
+    the first leg of q_r Delta(h) p_r before anything is multiplied
+    (_leg_contracted), and sym(Phi_2 h) for every h and coassociator term
+    is read from the table (_weighted_products); each is two kernel
+    products.
 
     The first failing basis label (None on success) is memoized on H by
     side and by snapshots of gamma's and sym's coefficients, so a form
@@ -325,62 +380,104 @@ def check_symmetrised(H, sym, gamma, side):
     Hq = side_algebra(H, side)
     A = H.alg
     p = Hq.require_pivotal()
-    lhs = _first_leg_contracted(Hq, sym)
-    # gamma(Phi_1) Phi_2 (x) g^-1 S(Phi_3), with the third leg precomputed
-    terms = [(w, p2, p3) for (p1, p2, p3), c in Hq.coassociator.coeffs.items()
-             if (w := gamma.of(A.basis(p1)) * c)]
-    tails = {p3: A.mul(p.pivot_inv, Hq.S(A.basis(p3))) for _, _, p3 in terms}
-
-    def holds(h):
-        rhs = TensorElement(H.n, 1)
-        for w, p2, p3 in terms:
-            v = w * A.form_on_product(sym, p2, h)
-            if v:
-                rhs = rhs + tails[p3].scale(v)
-        return TensorElement.wrap(H.n, 1, lhs.get(h, {})) == rhs
-
+    ce = Hq.canonical_elements()
+    lhs = _leg_contracted(Hq, sym, 0, ce.q_r, ce.p_r)
+    # sum_t gamma(Phi_1) c_t g^-1 S(Phi_3) (x) Phi_2, paired with sym(Phi_2 h)
+    tails = SparseMatrix(H.n, H.dim, H.dim)
+    for (p1, p2, p3), c in Hq.coassociator.coeffs.items():
+        if w := gamma.of(A.basis(p1)) * c:
+            tail = A.mul(p.pivot_inv, Hq.S(A.basis(p3)))
+            for (k,), d in tail.coeffs.items():
+                tails.add_to(k, p2, w * d)
+    bad = _first_difference(lhs, _weighted_products(A, sym, tails, False))
     entry = check_every(report, A.labels, "characterisation",
-                        [(h,) for h in range(H.dim)], holds)
+                        [] if bad is None else [(bad,)], lambda *_: False)
     H._symmetrised[key] = entry.witness
     return report
 
 
-def _first_leg_contracted(Hq, sym):
-    """{h: coordinates of (sym (x) id)(q_r Delta(e_h) p_r)} on Hq, for every
-    basis h at once, as the two kernel products check_symmetrised describes;
-    an h whose value is zero has no entry.  Apart from algcore.sandwiches:
-    sym goes in first, so this hot step of a trace never builds dim^2 x dim."""
+def _first_difference(lhs, rhs):
+    """The least h whose coordinates differ between two {h: {(k,): Scalar}}
+    dicts that leave out zero values; None if they are equal."""
+    return min((h for h in lhs.keys() | rhs.keys()
+                if lhs.get(h) != rhs.get(h)), default=None)
+
+
+def _weighted_products(A, form, C, h_first):
+    """{h: coordinates of sum_(k, j) C[k, j] form(e_h e_j) e_k} for every
+    basis h, or with form(e_j e_h) when not h_first; an h whose value is
+    zero has no entry.  Two kernel products: the table cells of (h, j) for
+    every column j of C, stacked with rows (j, h) and columns k, applied to
+    the form's coordinates (as in _values_on_products), then C times that."""
+    n, dim = A.n, A.dim
+    coords = {k: v for (k,), v in form.coeffs.items()}
+    values = SparseMatrix(n, dim * dim, dim, {
+        (j * dim + h, k): c for j in {j for _, j in C.entries}
+        for h in range(dim)
+        for k, c in A.table.get((h, j) if h_first else (j, h), {}).items()
+        if k in coords}).apply(coords)
+    out = {}
+    for (k, h), v in (C @ SparseMatrix(n, dim, dim, {
+            divmod(jh, dim): v for jh, v in values.items()})).entries.items():
+        out.setdefault(h, {})[(k,)] = v
+    return out
+
+
+def _leg_contracted(Hq, form, leg, X, Y):
+    """{h: coordinates of (form (x) id)(X Delta(e_h) Y)} on Hq (leg 0), or
+    of (id (x) form)(X Delta(e_h) Y) (leg 1), for every basis h at once; an
+    h whose value is zero has no entry.  Apart from algcore.sandwiches: the
+    form goes in first, so this never builds dim^2 x dim.
+
+    The sandwich is linear in each leg: with X = sum c_x x1 (x) x2,
+    Y = sum c_y y1 (x) y2 and Delta(h) = sum D(h)_ab e_a (x) e_b, and for
+    leg 0,
+
+        (form (x) id)(X Delta(h) Y)
+            = sum_(x2, y2) x2 [sum_ab D(h)_ab s_(x2, y2)(a) e_b] y2,
+        s_(x2, y2)(a) = sum c_x c_y form(x1 e_a y1)
+
+    over the terms with those second legs; for leg 1 the roles of the legs
+    swap.  form(x1 e_a y1) is read from the table as
+    sum_k T[x1, a][k] form(e_k e_y1).  That is two kernel products:
+    (rows (b, h), columns a) @ (rows a, columns (x2, y2)), re-keyed to rows
+    ((x2, y2), b) and columns h, then (rows k, columns ((x2, y2), b): the
+    coordinates of x2 e_b y2) @ that; column h of the result is the value
+    at h."""
     A = Hq.alg
     n, dim = Hq.n, Hq.dim
-    ce = Hq.canonical_elements()
+    keep = 1 - leg
     pairs = {P: j for j, P in enumerate(dict.fromkeys(
-        (q2, p2) for _, q2 in ce.q_r.coeffs for _, p2 in ce.p_r.coeffs))}
-    # x -> sym(x e_p1) per first leg p1, then sym(q1 e_a p1) for every a
-    after = {p1: LinearForm(n, 1, {(k,): A.form_on_product(sym, k, p1)
+        (kx[keep], ky[keep]) for kx in X.coeffs for ky in Y.coeffs))}
+    # x -> form(x e_y1) per contracted leg y1, then form(x1 e_a y1) for all a
+    after = {y1: LinearForm(n, 1, {(k,): A.form_on_product(form, k, y1)
                                    for k in range(dim)})
-             for p1 in dict.fromkeys(p1 for p1, _ in ce.p_r.coeffs)}
-    values = {(q1, p1): [A.form_on_product(f, q1, a) for a in range(dim)]
-              for q1 in dict.fromkeys(q1 for q1, _ in ce.q_r.coeffs)
-              for p1, f in after.items()}
+             for y1 in dict.fromkeys(ky[leg] for ky in Y.coeffs)}
+    values = {(x1, y1): [A.form_on_product(f, x1, a) for a in range(dim)]
+              for x1 in dict.fromkeys(kx[leg] for kx in X.coeffs)
+              for y1, f in after.items()}
     s = SparseMatrix(n, dim, len(pairs))
-    for (q1, q2), cq in ce.q_r.coeffs.items():
-        for (p1, p2), cp in ce.p_r.coeffs.items():
-            for a, v in enumerate(values[q1, p1]):
+    for kx, cx in X.coeffs.items():
+        for ky, cy in Y.coeffs.items():
+            j = pairs[kx[keep], ky[keep]]
+            for a, v in enumerate(values[kx[leg], ky[leg]]):
                 if v:
-                    s.add_to(a, pairs[q2, p2], cq * cp * v)
+                    s.add_to(a, j, cx * cy * v)
     firsts = SparseMatrix(n, dim * dim, dim, {
-        (b * dim + h, a): c for h, d in enumerate(Hq.delta_images)
-        for (a, b), c in d.coeffs.items()}) @ s
-    stack = SparseMatrix(n, dim, len(pairs) * dim, {
-        (k, j * dim + b): c for (q2, p2), j in pairs.items()
-        for b in range(dim) for (k,), c in A.mul(
-            A.mul(A.basis(q2), A.basis(b)), A.basis(p2)).coeffs.items()})
-    lhs = {}
+        (ab[keep] * dim + h, ab[leg]): c for h, d in enumerate(Hq.delta_images)
+        for ab, c in d.coeffs.items()}) @ s
+    stack = SparseMatrix(n, dim, len(pairs) * dim)
+    for (x2, y2), j in pairs.items():
+        for b in range(dim):
+            for m, c in A.table.get((x2, b), {}).items():
+                for k, d in A.table.get((m, y2), {}).items():
+                    stack.add_to(k, j * dim + b, c * d)
+    out = {}
     for (k, h), v in (stack @ SparseMatrix(n, len(pairs) * dim, dim, {
             (j * dim + bh // dim, bh % dim): v
             for (bh, j), v in firsts.entries.items()})).entries.items():
-        lhs.setdefault(h, {})[(k,)] = v
-    return lhs
+        out.setdefault(h, {})[(k,)] = v
+    return out
 
 
 def gram_matrix_rank(H, form):

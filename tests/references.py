@@ -1,10 +1,13 @@
 """Per-basis reference loops that the engine's stacked kernels are tested
 against, written the plain way: one AlgebraData.mul product per basis
 element.  symmetric_trace_space is criterion 5's brute-force solver for the
-symmetric forms that satisfy the right reduction condition."""
+symmetric forms that satisfy the right reduction condition;
+reference_cointegral_blocks and reference_cointegral_space are the full
+stacked cointegral system and its solve."""
 
 from quasihopf.algcore import LinearForm
-from quasihopf.exactmath import RowReducer
+from quasihopf.exactmath import RowReducer, Scalar
+from quasihopf.qha import derive_UVu
 
 
 def reference_sandwich(Hq, h, X=None, Y=None):
@@ -59,3 +62,38 @@ def symmetric_trace_space(H):
                 red.add_row(row)
     return [LinearForm(H.n, 1, {(i,): c for i, c in enumerate(vec) if c})
             for vec in red.nullspace()]
+
+
+def reference_cointegral_blocks(Hq, gamma):
+    """The stacked left-cointegral system on Hq, one block per basis h,
+
+        (id (x) lam)(V Delta(h) U) - gamma(Phi_1) lam(h S(Phi_2)) Phi_3,
+
+    each a list of rows over lam's coordinates, one per output coordinate."""
+    A = Hq.alg
+    zero = Scalar.zero(Hq.n)
+    cap_u, cap_v, _ = derive_UVu(Hq, gamma.form)
+    blocks = []
+    for h in range(Hq.dim):
+        rows = {}
+        mid = reference_sandwich(Hq, h, cap_v, cap_u)
+        for (x, y), c in mid.coeffs.items():
+            rows.setdefault(x, {})[y] = c
+        for (p1, p2, p3), c in Hq.coassociator.coeffs.items():
+            weight = gamma.of(A.basis(p1)) * c
+            row = rows.setdefault(p3, {})
+            for (w,), d in A.mul(A.basis(h), Hq.S(A.basis(p2))).coeffs.items():
+                row[w] = row.get(w, zero) - weight * d
+        blocks.append([r for row in rows.values()
+                       if (r := {k: v for k, v in row.items() if v})])
+    return blocks
+
+
+def reference_cointegral_space(Hq, gamma):
+    """The canonical nullspace basis of the full stacked system, every
+    block reduced, as dense Scalar tuples."""
+    red = RowReducer(Hq.n, Hq.dim)
+    for block in reference_cointegral_blocks(Hq, gamma):
+        for row in block:
+            red.add_row(row)
+    return red.nullspace()

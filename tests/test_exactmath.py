@@ -64,6 +64,22 @@ def test_inverse_and_division():
         x / Scalar.zero(8)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(max_denominator=10 ** 6).filter(bool),
+       st.sampled_from((1, 3, 4, 8)), st.integers(1, 7))
+def test_rational_inverse_matches_the_euclid_path(r, n, k):
+    """A rational scalar is inverted as den/num; the Euclid path, reached
+    through the non-rational product r y, gives the same value."""
+    x = Scalar.from_fraction(n, r)
+    inv = x.inverse()
+    assert inv.coords == (1 / r,) + (Fraction(0),) * (field_degree(n) - 1)
+    y = Scalar.one(n) + Scalar.zeta(n, k % n or 1)
+    if any(y.num[1:]):
+        assert (x * y).inverse() * y == inv
+    with pytest.raises(ZeroDivisionError):
+        Scalar.zero(n).inverse()
+
+
 def test_conductor_mixing_rejected():
     with pytest.raises(ValueError):
         Scalar.one(8) + Scalar.one(4)

@@ -18,7 +18,11 @@ from .helpers import (
     z4,
 )
 from .oracles import dense_nullspace, dense_rank
-from .references import reference_sandwich
+from .references import (
+    reference_cointegral_blocks,
+    reference_cointegral_space,
+    reference_sandwich,
+)
 
 
 def test_group_algebra_integral():
@@ -524,4 +528,98 @@ def test_first_leg_contraction_matches_the_reference_values(name):
             form = LinearForm(H.n, 1, {(k,): Scalar.one(H.n)})
             want = {h: v.coeffs for h, mid in enumerate(mids)
                     if (v := form.contract(mid, (0,)))}
-            assert intcoint._first_leg_contracted(Hq, form) == want, (side, k)
+            assert intcoint._leg_contracted(
+                Hq, form, 0, ce.q_r, ce.p_r) == want, (side, k)
+
+
+@pytest.mark.parametrize("name", sorted(_CHARACTERISED))
+def test_contraction_on_either_leg_matches_the_reference(name):
+    """_leg_contracted against the per-h sandwich contracted after the
+    products, on both legs, for the pairs (q_r, p_r) and (V, U), with
+    sixteen or so coordinate forms and the right cointegral."""
+    H = _CHARACTERISED[name]()
+    gamma = intcoint.modulus(H)
+    forms = [LinearForm(H.n, 1, {(k,): Scalar.one(H.n)})
+             for k in range(0, H.dim, max(1, H.dim // 16))]
+    forms.append(intcoint.cointegrals(H, "right").form)
+    for side in ("right", "left"):
+        Hq = intcoint.side_algebra(H, side)
+        ce = Hq.canonical_elements()
+        cap_u, cap_v, _ = derive_UVu(Hq, gamma.form)
+        for X, Y in ((ce.q_r, ce.p_r), (cap_v, cap_u)):
+            mids = [reference_sandwich(Hq, h, X, Y) for h in range(H.dim)]
+            for leg in (0, 1):
+                for form in forms:
+                    want = {h: v.coeffs for h, mid in enumerate(mids)
+                            if (v := form.contract(mid, (leg,)))}
+                    assert intcoint._leg_contracted(
+                        Hq, form, leg, X, Y) == want, (side, leg, form)
+
+
+_COINTEGRAL_FIXTURES = {
+    **_CHARACTERISED,
+    **{f"q2-z8^{k}": (lambda k=k: q_fixture(2, k).H) for k in (0, 2, 4, 6)},
+}
+
+
+def _sparse(vec):
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+@pytest.mark.parametrize("name", sorted(_COINTEGRAL_FIXTURES))
+def test_cointegrals_match_the_full_stacked_solve(name):
+    """The integral block plus the blocks of failing h give the canonical
+    nullspace basis of the full system, so the form and the normalization
+    are those of the full solve, on both sides."""
+    H = _COINTEGRAL_FIXTURES[name]()
+    gamma = intcoint.modulus(H)
+    for side in ("right", "left"):
+        Hq = H.coopposite() if side == "right" else H
+        (vec,) = reference_cointegral_space(Hq, gamma)
+        first = next(i for i, c in enumerate(vec) if c)
+        scale = vec[first].inverse()
+        got = intcoint.cointegrals(H, side)
+        assert (got.form, got.normalization) == (LinearForm(H.n, 1, {
+            (i,): c * scale for i, c in _sparse(vec).items()}), scale), side
+
+
+@pytest.mark.parametrize("name", ("z2", "z4", "sweedler", "q1-z8^7",
+                                  "q2-z8^2"))
+def test_cointegral_solve_without_the_integral_block(name):
+    """The check-before-reduce loop alone, from all of H^*: every failing h
+    feeds its own block, and the result is still the full system's
+    canonical basis."""
+    H = _COINTEGRAL_FIXTURES[name]()
+    gamma = intcoint.modulus(H)
+    for side in ("right", "left"):
+        Hq = H.coopposite() if side == "right" else H
+        want = [_sparse(v) for v in reference_cointegral_space(Hq, gamma)]
+        assert intcoint._left_cointegral_space(Hq, gamma, []) == want, side
+        assert intcoint._left_cointegral_space(
+            Hq, gamma, [gamma.integral]) == want, side
+
+
+@pytest.mark.parametrize("name", ("sweedler", "q1-z8^7"))
+def test_cointegral_check_of_perturbed_forms_matches_the_reference_rows(name):
+    """The all-h check on lam + e*_i for every i, and on lam: its first
+    failing h is the first block of the full system that the form does not
+    satisfy."""
+    H = _COINTEGRAL_FIXTURES[name]()
+    gamma = intcoint.modulus(H)
+    for side in ("right", "left"):
+        Hq = H.coopposite() if side == "right" else H
+        blocks = reference_cointegral_blocks(Hq, gamma)
+        eq = intcoint._LeftCointegralEquation(Hq, gamma)
+        lam = intcoint.cointegrals(H, side).form
+        forms = [lam] + [lam + LinearForm(H.n, 1, {(i,): Scalar.one(H.n)})
+                         for i in range(H.dim)]
+        failures = []
+        for form in forms:
+            want = next((h for h, rows in enumerate(blocks) if any(
+                sum((v * form.coeffs[(k,)] for k, v in row.items()
+                     if (k,) in form.coeffs), Scalar.zero(H.n))
+                for row in rows)), None)
+            assert eq.first_failure(form) == want, (side, form)
+            failures.append(want)
+        assert failures[0] is None
+        assert sum(f is not None for f in failures) >= H.dim - 1

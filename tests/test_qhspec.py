@@ -258,6 +258,28 @@ def test_cli_verify_failure_exit_code(z2_spec, tmp_path):
     assert "VerificationFailed" in err
 
 
+@pytest.mark.parametrize("command", ("cointegrals", "modtrace"))
+def test_cli_pin_without_the_first_coordinate_is_a_verification_failure(
+        q1_spec, tmp_path, command):
+    """A reference cointegral with no coefficient at the solution's first
+    nonzero coordinate cannot fix its scale: exit 4, naming that basis
+    element, rather than a form scaled neither to the pin nor to 1."""
+    lines = open(q1_spec).read().splitlines()
+    labels = next(l for l in lines if l.startswith("basis ")).split()[1:]
+    first = min(int(l.split()[1]) for l in lines
+                if l.startswith("cointegral "))
+    bad = tmp_path / "unpinned.qhs"
+    bad.write_text("\n".join(l for l in lines
+                             if not l.startswith(f"cointegral {first} ")))
+    code, out, err = _run([command, str(bad)] + (
+        ["--side", "right"] if command == "cointegrals" else []))
+    assert code == 4
+    assert out == ""
+    assert err == ("error: VerificationFailed: reference cointegral has no "
+                   f"coefficient at {labels[first]}, the first nonzero "
+                   "coordinate of the right cointegral\n")
+
+
 def test_cli_json_report_matches_text_tree(z2_spec):
     code, out_json, _ = _run(["check", z2_spec, "--json"])
     assert code == 0

@@ -24,7 +24,9 @@ def test_stage_times_runs_every_stage_of_q1(capsys):
         "pairing"]
     assert all(r["passed"] and r["s"] >= 0 for r in out["stages"])
     assert out["total_s"] == round(sum(r["s"] for r in out["stages"]), 3)
-    assert out["peak_rss_mib"] > 0
+    peaks = [r["peak_rss_mib"] for r in out["stages"]]
+    assert 0 < peaks[0] and peaks == sorted(peaks)
+    assert out["peak_rss_mib"] == peaks[-1]
 
 
 @pytest.mark.parametrize("beta", ["z20", "1"])
