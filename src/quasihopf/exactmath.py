@@ -268,29 +268,39 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: den/num for a rational scalar, else via
-        the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse: den/num for a rational scalar, else the
+        solution y of x y = 1, a d x d linear system over Q whose column j
+        holds the coordinates of x zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
         n = self.n
-        d = field_degree(n)
+        d, red = _field_data(n)
         if not any(self.num[1:]):
             return Scalar(n, (self.den,) + (0,) * (d - 1), self.num[0])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        a = [Fraction(c, self.den) for c in self.num]
-        # invariant: r0 = s0*a mod phi, r1 = s1*a mod phi
-        r0, s0 = phi, [Fraction(0)]
-        r1, s1 = list(a), [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coords = [c * inv for c in s1] + [Fraction(0)] * (d - len(s1))
-                return Scalar.from_coords(n, coords[:d])
-            q = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, _frac_poly_mod(r0, r1, q)
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+        # num zeta^j from num zeta^(j-1): one power up, zeta^d reduced
+        cols = [list(self.num)]
+        for _ in range(d - 1):
+            top, col = cols[-1][-1], [0] + cols[-1][:-1]
+            cols.append([a + top * r for a, r in zip(col, red[0])])
+        # num y = den as integer rows [coefficients | right side], reduced in
+        # place by fraction-free Gauss-Jordan (Bareiss): each division by
+        # the previous pivot is exact, and in the end every diagonal entry
+        # is the last pivot.  x != 0 in a field, so every column has one.
+        rows = [[c[i] for c in cols] + [0] for i in range(d)]
+        rows[0][d] = self.den
+        prev = 1
+        for j in range(d):
+            p = next(i for i in range(j, d) if rows[i][j])
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = rows[j]
+            lead = pivot[j]
+            for i in range(d):
+                if i != j:
+                    f = rows[i][j]
+                    rows[i] = [(a * lead - f * b) // prev
+                               for a, b in zip(rows[i], pivot)]
+            prev = lead
+        return Scalar(n, [row[d] for row in rows], prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -403,51 +413,6 @@ def _zeta_order(n):
     return max(n, 1)
 
 
-def _frac_poly_divmod(r0, r1):
-    """Quotient of r0 by r1 over Fractions (ascending coeffs), r1 != 0."""
-    r0 = list(r0)
-    q = [Fraction(0)] * max(1, len(r0) - len(r1) + 1)
-    lead = r1[-1]
-    for i in range(len(r0) - 1, len(r1) - 2, -1):
-        c = r0[i] / lead
-        q[i - len(r1) + 1] = c
-        if c:
-            for j, dj in enumerate(r1):
-                r0[i - len(r1) + 1 + j] -= c * dj
-    return q
-
-
-def _frac_poly_mod(r0, r1, q):
-    rem = list(r0)
-    for i, qi in enumerate(q):
-        if qi:
-            for j, dj in enumerate(r1):
-                rem[i + j] -= qi * dj
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 # -- string form ------------------------------------------------------------
 #
 # Canonical serialization: terms by ascending power, no whitespace, rationals
@@ -519,14 +484,14 @@ def _parse_term(term, n):
         if not factor:
             raise ValueError(f"malformed term {term!r}")
         if factor[0] == "z":
-            base, _, exp = factor.partition("^")
+            base, caret, exp = factor.partition("^")
             root = _decimal(base[1:])
             if root != n:
                 raise ValueError(f"scalar uses z{root} but the field is Q(zeta_{n})")
-            power += _decimal(exp) if exp else 1
+            power += _decimal(exp) if caret else 1
         else:
-            numer, _, denom = factor.partition("/")
-            f = (Fraction(_decimal(numer), _decimal(denom)) if denom
+            numer, slash, denom = factor.partition("/")
+            f = (Fraction(_decimal(numer), _decimal(denom)) if slash
                  else Fraction(_decimal(numer)))
             coeff *= f
     return coeff, power

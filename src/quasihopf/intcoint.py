@@ -65,10 +65,10 @@ g^-1, antipode S^-1, q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21
 (pinned by test_opposite_and_coopposite), so each left-side statement on H
 is the right-side statement on H.coopposite(), and u_cop is u of H^cop.
 cointegrals writes the left equation and solves the right side on H^cop;
-symmetrise, check_symmetrised, check_nakayama and check_twisted_symmetry
-write the right side and run the left side on H^cop (side_algebra).  The
-modulus is H's and is passed in, and report names and witnesses keep the
-side that was asked for.
+symmetrise, check_symmetrised and check_twisted_symmetry write the right
+side and run the left side on H^cop (side_algebra).  The modulus is H's
+and is passed in, and report names and witnesses keep the side that was
+asked for.
 """
 
 from dataclasses import dataclass
@@ -530,24 +530,4 @@ def check_twisted_symmetry(H, sym, gamma, side):
     check_every(report, A.labels, "twisted symmetry", _all_pairs(H.dim),
                 lambda i, j: A.form_on_product(sym, i, j)
                 == sym.evaluate(A.mul(shifted[j], A.basis(i))))
-    return report
-
-
-def check_nakayama(H, form, gamma, side):
-    """Antipode conjugation law for cointegrals, exhaustively over pairs:
-
-        left:  lam(S^-1(a) b) = lam(b S(a <- gamma))
-        right: lam(S(a) b)    = lam(b S^-1(gamma -> a))
-
-    checked as the right law on side_algebra(H, side).
-    """
-    Hq = side_algebra(H, side)
-    A = H.alg
-    report = Check(f"nakayama-{side}")
-    e = [A.basis(i) for i in range(H.dim)]
-    sa = [Hq.S(a) for a in e]
-    shifted = [Hq.S_inv(Hq.hit_elem_right(gamma.form, a)) for a in e]
-    check_every(report, A.labels, "antipode conjugation", _all_pairs(H.dim),
-                lambda i, j: form.evaluate(A.mul(sa[i], e[j]))
-                == form.evaluate(A.mul(e[j], shifted[i])))
     return report

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from quasihopf.algcore import (
-    AlgebraData,
     TensorElement,
     apply_images_leg,
     flip,
     hit_elem_left,
     hit_elem_right,
+    sandwiches,
 )
 from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix, solve_unique
 from quasihopf.report import Check, check_every
@@ -142,20 +142,7 @@ class QuasiHopfAlgebra:
     def hit_elem_left(self, h, f):
         return hit_elem_left(self.alg, self.delta_images, h, f)
 
-    # -- opposite / coopposite ---------------------------------------------
-
-    def opposite(self):
-        """Same data with reversed multiplication."""
-        table = {}
-        for (i, j), cell in self.alg.table.items():
-            table[(j, i)] = cell
-        alg = AlgebraData(self.n, self.dim, self.alg.labels, self.alg.unit, table)
-        return QuasiHopfAlgebra(
-            alg, self.delta_images, self.counit,
-            self.antipode_inv_images, self.antipode_images,
-            self.coassociator_inv, self.coassociator,
-            self.S_inv(self.beta), self.S_inv(self.alpha),
-            pivotal=None)
+    # -- coopposite --------------------------------------------------------
 
     def coopposite(self):
         """Same algebra with reversed comultiplication, built once."""
@@ -319,7 +306,7 @@ def _generating_set(A):
     return gens
 
 
-# Table (resp. coproduct) terms per block of the two blocked comparisons in
+# Table terms per block of the blocked associativity comparison in
 # check_axioms.  It bounds the operands and products alive at once, at every
 # dimension, to well under a MiB; larger blocks save little time, since each
 # product reads only the rows its block needs.
@@ -340,14 +327,6 @@ def _blocks(sizes):
         yield run
 
 
-def _products(A, pairs):
-    """Matrix with rows k and one column per pair: column t holds the
-    coordinates of e_i e_j for (i, j) = pairs[t]."""
-    return SparseMatrix(A.n, A.dim, len(pairs), {
-        (k, t): c for t, ij in enumerate(pairs)
-        for k, c in A.table.get(ij, {}).items()})
-
-
 def _on_rows(n, rows, keep, cols):
     """The right operand with row dicts rows[m] for m in keep and zero rows
     elsewhere.  With keep the nonzero columns of the left operand the
@@ -361,12 +340,12 @@ def _columns(m):
     return {j for _, j in m.entries}
 
 
-def _mismatches(lhs, rhs, to_rhs, to_lhs):
+def _mismatches(lhs, rhs, swap):
     """Keys, in lhs's keying, at which the entries of two products differ;
-    to_rhs and to_lhs translate a (row, column) key between the keyings."""
-    bad = [key for key, v in lhs.items() if rhs.get(to_rhs(*key)) != v]
+    swap translates a (row, column) key between the two keyings."""
+    bad = [key for key, v in lhs.items() if rhs.get(swap(*key)) != v]
     if len(lhs) - len(bad) < len(rhs):
-        bad += [to_lhs(*key) for key in rhs if to_lhs(*key) not in lhs]
+        bad += [swap(*key) for key in rhs if swap(*key) not in lhs]
     return bad
 
 
@@ -378,10 +357,8 @@ def _associativity_failures(A, gens):
     for (i, j), cell in table.items():
         for k in cell:
             cells[k].append(i * dim + j)
-    right = {g: _products(A, [(x, g) for x in range(dim)]).row_dicts()
-             for g in gens}
-    left = {g: _products(A, [(g, z) for z in range(dim)]).row_dicts()
-            for g in gens}
+    right = {g: A.right_mult_matrix(A.basis(g)).row_dicts() for g in gens}
+    left = {g: A.left_mult_matrix(A.basis(g)).row_dicts() for g in gens}
 
     def swap(r, c):     # ((k, a), b) <-> ((k, b), a)
         return r - r % dim + c, r % dim
@@ -402,7 +379,7 @@ def _associativity_failures(A, gens):
             # ((k, z), x) on the left, ((k, x), z) on the right
             lhs = (t_z @ _on_rows(n, right[g], ms_z, dim)).entries
             rhs = (t_x @ _on_rows(n, left[g], ms_x, dim)).entries
-            bad = _mismatches(lhs, rhs, swap, swap)
+            bad = _mismatches(lhs, rhs, swap)
             if bad:
                 case = (t, min((x, r % dim) for r, x in bad))
                 first = case if first is None else min(first, case)
@@ -416,42 +393,12 @@ def _delta_multiplicative_failures(H, gens):
     """[(g, y)] with the first g in gens at which Delta(g y) = Delta(g)
     Delta(y) fails and its least failing y, or []; see check_axioms."""
     A = H.alg
-    n, dim, table = A.n, A.dim, A.table
-    images = H.delta_images
+    deltas = sandwiches(A, H.delta_images)
     for g in gens:
-        by_first = {}
-        for (p, q), c in images[g].coeffs.items():
-            by_first.setdefault(p, {})[q] = c
-        # rows a of e_p e_a per group, rows (group, b) of sum c e_q e_b
-        firsts = [[table.get((p, a), {}) for a in range(dim)]
-                  for p in by_first]
-        seconds = [row for qs in by_first.values()
-                   for row in A.left_mult_matrix(A.element(qs))
-                   .transpose().row_dicts()]
-        width = len(images[g].coeffs)
-        for ys in _blocks([width * len(img.coeffs) for img in images]):
-            rows = len(ys) * dim
-            # ((a, b), y) on the left, ((y, a), b) on the right
-            gy = _products(A, [(g, y) for y in ys])
-            d = SparseMatrix(n, dim * dim, dim, {
-                (a * dim + b, m): c for m in {m for m, _ in gy.entries}
-                for (a, b), c in images[m].coeffs.items()})
-            lhs = (d @ gy).entries
-            x = SparseMatrix(n, rows, dim, {
-                (r * dim + b, a): c for r, y in enumerate(ys)
-                for (a, b), c in images[y].coeffs.items()})
-            keep = _columns(x)
-            z = SparseMatrix(n, rows, len(firsts) * dim, {
-                (rb - rb % dim + a, j * dim + rb % dim): v
-                for j, leg in enumerate(firsts)
-                for (rb, a), v in (x @ _on_rows(n, leg, keep, dim))
-                .entries.items()})
-            rhs = (z @ _on_rows(n, seconds, _columns(z), dim)).entries
-            bad = _mismatches(
-                lhs, rhs, lambda ab, r: (r * dim + ab // dim, ab % dim),
-                lambda ra, b: (ra % dim * dim + b, ra // dim))
-            if bad:
-                return [(g, ys[min(r for _, r in bad)])]
+        lhs = (deltas @ A.left_mult_matrix(A.basis(g))).entries
+        rhs = sandwiches(A, H.delta_images, X=H.delta_images[g]).entries
+        if lhs != rhs:
+            return [(g, min(key[1] for key, _ in lhs.items() ^ rhs.items()))]
     return []
 
 
@@ -489,19 +436,15 @@ def check_axioms(H, *, pair_budget=None, triple_budget=None, seed=None):
     (k, z), columns m and entries T[m,z][k], times rows m, columns x and
     entries T[x,g][m]; x (g z) is T_x @ L_g, with rows (k, x) and entries
     T[x,m][k], times entries T[g,z][m] in column z, re-keyed to ((k, z), x).
-    Delta(g y) is D @ L_g, with D's column m holding Delta(e_m) on rows
-    (a, b).  For Delta(g) Delta(y), the terms c e_p (x) e_q of Delta(g) are
-    grouped by p: every Delta(y), as rows (y, b) and columns a, times the
-    matrix of e_p e_a puts e_p on the first leg, and one more product with
-    the sums of c e_q e_b over the groups puts the e_q on the second.  No
-    right operand has more than dim columns, and each keeps only the rows
-    its left operand reads.  Both run in blocks of at most _BLOCK_TERMS
-    terms: over k, and over y per g.  The two sides agree entry by entry or
-    the identity fails there, so the verdicts are those of the per-case
-    identities, and the witness is the least failing case for the first
-    failing g in G order, the case the scan over g, x, z (resp. g, y) meets
-    first.  The closure arguments are about the identities, not about how
-    they are evaluated, so they are unchanged.
+    Associativity runs in blocks of at most _BLOCK_TERMS terms over k.
+    Delta(g y) is D @ L_g, with D = sandwiches(A, Delta) holding Delta(e_m)
+    in column m, and Delta(g) Delta(y) is column y of sandwiches(A, Delta,
+    X=Delta(g)).  The two sides agree entry by entry or the identity fails
+    there, so the verdicts are those of the per-case identities, and the
+    witness is the least failing case for the first failing g in G order,
+    the case the scan over g, x, z (resp. g, y) meets first.  The closure
+    arguments are about the identities, not about how they are evaluated, so
+    they are unchanged.
 
     pair_budget, triple_budget and seed are accepted and ignored: the
     benchmark's axioms-q2 workload still passes them, and a TypeError there

@@ -60,11 +60,6 @@ def admissible_betas(N, n=8):
             if b ** 4 == want]
 
 
-def principal_beta(N, n=8):
-    """exp(-i pi N / 4) as a root of unity in Q(zeta_n)."""
-    return Scalar.zeta(n, (-N) % n)
-
-
 # -- fermionic word calculus ---------------------------------------------------
 
 

@@ -32,6 +32,11 @@ def q_principal(N):
     return q_fixture(N, PRINCIPAL[N])
 
 
+def principal_beta(N, n=8):
+    """exp(-i pi N / 4) as a root of unity in Q(zeta_n)."""
+    return Scalar.zeta(n, (-N) % n)
+
+
 @lru_cache(maxsize=None)
 def cointegral_bundle(N, zeta_power):
     """(fixture, right cointegral result, symmetrised form), solver-produced."""

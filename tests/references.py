@@ -3,11 +3,15 @@ against, written the plain way: one AlgebraData.mul product per basis
 element.  symmetric_trace_space is criterion 5's brute-force solver for the
 symmetric forms that satisfy the right reduction condition;
 reference_cointegral_blocks and reference_cointegral_space are the full
-stacked cointegral system and its solve."""
+stacked cointegral system and its solve.  opposite and check_nakayama are
+constructions only the tests use: the opposite algebra, and the antipode
+conjugation law of a cointegral."""
 
-from quasihopf.algcore import LinearForm
+from quasihopf.algcore import AlgebraData, LinearForm
 from quasihopf.exactmath import RowReducer, Scalar
-from quasihopf.qha import derive_UVu
+from quasihopf.intcoint import side_algebra
+from quasihopf.qha import QuasiHopfAlgebra, derive_UVu
+from quasihopf.report import Check, check_every
 
 
 def reference_sandwich(Hq, h, X=None, Y=None):
@@ -97,3 +101,38 @@ def reference_cointegral_space(Hq, gamma):
         for row in block:
             red.add_row(row)
     return red.nullspace()
+
+
+def opposite(H):
+    """H with reversed multiplication."""
+    table = {}
+    for (i, j), cell in H.alg.table.items():
+        table[(j, i)] = cell
+    alg = AlgebraData(H.n, H.dim, H.alg.labels, H.alg.unit, table)
+    return QuasiHopfAlgebra(
+        alg, H.delta_images, H.counit,
+        H.antipode_inv_images, H.antipode_images,
+        H.coassociator_inv, H.coassociator,
+        H.S_inv(H.beta), H.S_inv(H.alpha),
+        pivotal=None)
+
+
+def check_nakayama(H, form, gamma, side):
+    """Antipode conjugation law for cointegrals, exhaustively over pairs:
+
+        left:  lam(S^-1(a) b) = lam(b S(a <- gamma))
+        right: lam(S(a) b)    = lam(b S^-1(gamma -> a))
+
+    checked as the right law on side_algebra(H, side).
+    """
+    Hq = side_algebra(H, side)
+    A = H.alg
+    report = Check(f"nakayama-{side}")
+    e = [A.basis(i) for i in range(H.dim)]
+    sa = [Hq.S(a) for a in e]
+    shifted = [Hq.S_inv(Hq.hit_elem_right(gamma.form, a)) for a in e]
+    check_every(report, A.labels, "antipode conjugation",
+                ((i, j) for i in range(H.dim) for j in range(H.dim)),
+                lambda i, j: form.evaluate(A.mul(sa[i], e[j]))
+                == form.evaluate(A.mul(e[j], shifted[i])))
+    return report

@@ -67,8 +67,8 @@ def test_inverse_and_division():
 @settings(max_examples=60, deadline=None)
 @given(st.fractions(max_denominator=10 ** 6).filter(bool),
        st.sampled_from((1, 3, 4, 8)), st.integers(1, 7))
-def test_rational_inverse_matches_the_euclid_path(r, n, k):
-    """A rational scalar is inverted as den/num; the Euclid path, reached
+def test_rational_inverse_matches_the_linear_solve(r, n, k):
+    """A rational scalar is inverted as den/num; the linear solve, reached
     through the non-rational product r y, gives the same value."""
     x = Scalar.from_fraction(n, r)
     inv = x.inverse()
@@ -78,6 +78,18 @@ def test_rational_inverse_matches_the_euclid_path(r, n, k):
         assert (x * y).inverse() * y == inv
     with pytest.raises(ZeroDivisionError):
         Scalar.zero(n).inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 5, 8, 12)).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=field_degree(n),
+                       max_size=field_degree(n)).filter(
+        lambda num: any(num[1:])).map(lambda num: (n, num))),
+    st.integers(1, 30))
+def test_non_rational_inverse(n_num, den):
+    n, num = n_num
+    x = Scalar(n, num, den)
+    assert x * x.inverse() == Scalar.one(n)
 
 
 def test_conductor_mixing_rejected():
@@ -127,7 +139,7 @@ def test_parse_scalar_forms():
 
 
 @pytest.mark.parametrize("text", ["1_0", "\u0663", "z8^\u0661", "1/\u0662",
-                                  "z\u0668", "\u00b2*z8"])
+                                  "z\u0668", "\u00b2*z8", "z8^", "1/"])
 def test_parse_scalar_takes_ascii_digits_only(text):
     """int() reads '1_0' as 10 and Arabic-Indic or superscript digits as
     numbers; the scalar syntax has ASCII decimal digits only."""

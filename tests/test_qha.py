@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quasihopf.algcore import AlgebraData, LinearForm, TensorElement, flip
@@ -17,6 +19,7 @@ from quasihopf.qha import (
 from quasihopf.report import Check, check_every
 
 from .helpers import q_fixture, q_principal, sweedler, z2, z4
+from .references import opposite
 
 
 def test_group_algebra_axioms():
@@ -244,6 +247,35 @@ def test_kernel_checks_match_the_loops_on_every_negated_coproduct_image():
         assert not _assert_matches_references(broken)[1].ok
 
 
+@pytest.mark.parametrize("name, sample", [("Q(1, z8^7)", None),
+                                          ("Q(2, z8^2)", 48)])
+def test_delta_check_matches_the_loop_on_single_coefficient_flips(name,
+                                                                  sample):
+    """Every coefficient of every Delta(e_m) on Q(1) (52 flips), and a
+    seeded sample of Q(2)'s 890, negated one at a time."""
+    H = REFERENCE_ALGEBRAS[name]()
+    A = H.alg
+    gens = _generating_set(A)
+    terms = [(m, key) for m, image in enumerate(H.delta_images)
+             for key in sorted(image.coeffs)]
+    if sample is not None:
+        terms = random.Random(23).sample(terms, sample)
+    failed = 0
+    for m, key in terms:
+        delta = list(H.delta_images)
+        coeffs = dict(delta[m].coeffs)
+        coeffs[key] = -coeffs[key]
+        delta[m] = TensorElement(H.n, 2, coeffs)
+        broken = _replace(H, delta=delta)
+        got = check_every(Check("kernel"), A.labels, "multiplicative",
+                          _delta_multiplicative_failures(broken, gens),
+                          lambda *_: False)
+        ref = _reference_delta_multiplicative(broken)
+        assert (got.ok, got.witness) == (ref.ok, ref.witness), (m, key)
+        failed += not got.ok
+    assert failed > 0
+
+
 def test_axiom_check_multiplies_few_elements(monkeypatch):
     """check_axioms on Q(2, z8^2) makes at most 5,000 AlgebraData.mul calls
     (about 42,700 with one call per associativity and Delta case)."""
@@ -393,7 +425,7 @@ def test_opposite_and_coopposite():
     cop = H.coopposite()
     assert cop.delta_images == H.delta_images  # cocommutative
     assert check_axioms(cop).passed
-    assert check_axioms(H.opposite()).passed
+    assert check_axioms(opposite(H)).passed
 
     fx = q_fixture(1, 7)
     Hq = fx.H
@@ -436,5 +468,5 @@ def test_pivotal_checks_catch_wrong_pivot():
 
 def test_opposite_of_symplectic_fermions():
     fx = q_fixture(1, 7)
-    rep = check_axioms(fx.H.opposite())
+    rep = check_axioms(opposite(fx.H))
     assert rep.passed, rep.render()

@@ -195,11 +195,14 @@ def test_cli_parse_failure_exit_code(tmp_path):
     ("field \u0663\nbasis a\nunit 0 1\n", 1),
     ("field 8\nbasis a\nunit 0 1_0\n", 3),
     ("field 8\nbasis a\nunit 0 z8^\u0663\n", 3),
+    ("field 8\nbasis a\nunit 0 z8^\n", 3),
+    ("field 8\nbasis a\nmul 0 0 0 1/\n", 3),
 ])
 def test_cli_non_ascii_digits_are_parse_errors(tmp_path, text, line_no):
     """Indices, the conductor and scalar digits are ASCII decimal digits:
     '\u00b2' passes str.isdigit but not int(), and int() reads '\u0660' as 0
-    and '1_0' as 10."""
+    and '1_0' as 10.  An exponent or denominator after '^' or '/' is not
+    optional."""
     bad = tmp_path / "digits.qhs"
     bad.write_text(text, encoding="utf-8")
     code, _, err = _run(["check", str(bad)])
@@ -335,6 +338,8 @@ def test_cli_sympferm_bad_beta_exit():
     assert code == 3
     code, _, err = _run(["sympferm", "--n", "1", "--beta", "(("])
     assert code == 2
+    code, out, _ = _run(["sympferm", "--n", "1", "--beta", "z8^"])
+    assert (code, out) == (2, "")
 
 
 def test_shipped_documents_parse_to_the_fixtures():

@@ -10,10 +10,9 @@ from quasihopf.sympferm import (
     admissible_betas,
     build,
     expected_trace_values,
-    principal_beta,
 )
 
-from .helpers import q_fixture, q_principal
+from .helpers import principal_beta, q_fixture, q_principal
 
 
 def test_dimensions_and_enumeration():
