@@ -26,7 +26,7 @@ from quasihopf import intcoint, modtrace  # noqa: E402
 from quasihopf.exactmath import parse_scalar  # noqa: E402
 from quasihopf.qha import check_axioms  # noqa: E402
 from quasihopf.repcat import regular_module, trivial_module  # noqa: E402
-from quasihopf.sympferm import BadBeta, build  # noqa: E402
+from quasihopf.sympferm import BadBeta, MaxNExceeded, build  # noqa: E402
 
 
 def stages(N, beta):
@@ -35,7 +35,7 @@ def stages(N, beta):
     got = {}
 
     def run_build():
-        got["H"] = build(N, beta, max_n=N).H
+        got["H"] = build(N, beta).H
         return True
 
     def run_integrals():
@@ -101,7 +101,7 @@ def main(argv=None):
                          "s": round(time.perf_counter() - t0, 3),
                          "passed": passed,
                          "peak_rss_mib": round(peak_rss_mib(), 1)})
-    except BadBeta as e:
+    except (BadBeta, MaxNExceeded) as e:
         ap.error(str(e))
     print(json.dumps({"n": args.n, "beta": args.beta, "stages": rows,
                       "total_s": round(sum(r["s"] for r in rows), 3),

@@ -2,9 +2,8 @@
 
 Elements of tensor powers H^(x k) are sparse coefficient dicts keyed by
 index tuples; linear forms on H^(x k) are sparse dual coefficient dicts.
-The coproduct, counit and antipode of a quasi-Hopf algebra do not live here
-(see quasihopf.qha); this module is the plain algebra layer plus the hook
-actions, which take the coproduct as an explicit argument.
+The coproduct, counit, antipode and hook action of a quasi-Hopf algebra
+live in quasihopf.qha; this module is the plain algebra layer.
 
 All containers are treated as immutable after construction; operations are
 pure and deterministic (iteration over stored dicts is sorted wherever the
@@ -23,10 +22,6 @@ class BadPermutation(ValueError):
 
 
 class LegMismatch(ValueError):
-    pass
-
-
-class MissingCoproduct(ValueError):
     pass
 
 
@@ -411,30 +406,3 @@ def _times_legs(A, stack, Z, leg, left):
         (gk % dim * dim + oh % dim, gk // dim * dim + oh // dim): c
         for (oh, gk), c in (stack @ firsts).entries.items()}) @ seconds
 
-
-# -- hook actions -------------------------------------------------------------
-#
-# For h, a in H and f in H^*:
-#     (h -> f)(a) = f(a h)          form shifted by right multiplication
-#     (f <- h)(a) = f(h a)          form shifted by left multiplication
-#     f -> h = h_(1) f(h_(2))       element, needs the coproduct
-#     h <- f = f(h_(1)) h_(2)       element, needs the coproduct
-#
-# Only the element actions are functions here; the form shifts are one
-# evaluation per basis element where they are used (intcoint.symmetrise).
-
-
-def hit_elem_right(A, delta_images, f, h):
-    """f -> h = h_(1) f(h_(2))."""
-    if delta_images is None:
-        raise MissingCoproduct("element hook actions need the coproduct")
-    dh = apply_images_leg(delta_images, h, 0)
-    return f.contract(dh, (1,))
-
-
-def hit_elem_left(A, delta_images, h, f):
-    """h <- f = f(h_(1)) h_(2)."""
-    if delta_images is None:
-        raise MissingCoproduct("element hook actions need the coproduct")
-    dh = apply_images_leg(delta_images, h, 0)
-    return f.contract(dh, (0,))

@@ -12,8 +12,8 @@ Subcommands:
                                          [--emit-spec PATH]
     verify <spec> --suite ...            reduction / pairing property suites
 
-Exit codes: 0 success; 1 output closed early; 2 parse error or bad argument
-or setting; 3 axiom or precondition failure; 4 verification failure.  Every
+Exit codes: 0 success; 1 output closed early; 2 parse error or bad
+argument; 3 axiom or precondition failure; 4 verification failure.  Every
 check is exhaustive.  Reports are byte-identical across runs with equal
 inputs.
 """

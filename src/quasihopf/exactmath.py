@@ -172,9 +172,6 @@ class Scalar:
     @classmethod
     def zeta(cls, n, power=1):
         d = field_degree(n)
-        num = [0] * d
-        num[0] = 1
-        base = cls(n, num)
         if power % _zeta_order(n) == 0:
             return cls.one(n)
         num = [0] * d

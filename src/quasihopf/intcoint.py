@@ -61,9 +61,10 @@ check_symmetrised is their one implementation (modtrace runs it with
 gamma = eps), and its verdict is memoized on H per side, gamma and form.
 
 One path per one-sided pair.  H^cop has H's algebra and counit, pivot
-g^-1, antipode S^-1, q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21
-(pinned by test_opposite_and_coopposite), so each left-side statement on H
-is the right-side statement on H.coopposite(), and u_cop is u of H^cop.
+g^-1, antipode S^-1, q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21 (the
+way qha.derive_qp builds q_l and p_l), and its hook action h <- gamma is
+H's gamma -> h, so each left-side statement on H is the right-side one on
+H.coopposite() (an involution), and u_cop is u of H^cop.
 cointegrals writes the left equation and solves the right side on H^cop;
 symmetrise, check_symmetrised and check_twisted_symmetry write the right
 side and run the left side on H^cop (side_algebra).  The modulus is H's

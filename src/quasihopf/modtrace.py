@@ -15,8 +15,8 @@ nothing there, and a hand-built ModifiedTrace is checked in full.
 
 One path per one-sided pair, as in intcoint: the left variant of a
 construction on H is the right one on H.coopposite(), which is exact
-because q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21 (pinned by
-test_opposite_and_coopposite).  ReductionChecker is written for the left
+because q_r(H^cop) = (q_l)_21 and p_r(H^cop) = (p_l)_21 (qha.derive_qp
+builds q_l and p_l that way).  ReductionChecker is written for the left
 side, and verify_reduction runs it on H^cop for the right one.  repcat's
 left partial trace and left straightening maps, composed by the tests'
 xi_left, stay as the independent H-side reference the checker is tested

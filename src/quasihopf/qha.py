@@ -16,6 +16,10 @@ symplectic-fermion fixtures, which are the nontrivial test of the
 convention).  The Drinfeld twist is required input for pivotal data and is
 verified, never derived.
 
+Each one-sided construction is written once: the other side is it on
+H.coopposite(), an involution built once.  derive_qp's q_l and p_l are the
+right pair of H^cop, and hit_elem_left on H^cop is the right hook action.
+
 Everything is immutable after construction; checks are pure, exhaustive
 and deterministic.
 """
@@ -24,24 +28,16 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from quasihopf.algcore import (
-    TensorElement,
-    apply_images_leg,
-    flip,
-    hit_elem_left,
-    hit_elem_right,
-    sandwiches,
-)
-from quasihopf.exactmath import RowReducer, Scalar, SparseMatrix, solve_unique
+from quasihopf.algcore import TensorElement, apply_images_leg, flip, sandwiches
+from quasihopf.exactmath import RowReducer, SparseMatrix, solve_unique
 from quasihopf.report import Check, check_every
 
 
 class QuasiHopfError(ValueError):
     """A failed axiom, precondition or verification of the engine.
 
-    exit_code is the command line's exit status for it: 2 for a bad
-    setting, 3 for an axiom or precondition failure, 4 for a verification
-    failure.
+    exit_code is the command line's exit status for it: 3 for an axiom or
+    precondition failure, 4 for a verification failure.
     """
 
     exit_code = 3
@@ -78,6 +74,7 @@ class QuasiHopfAlgebra:
         self.beta = beta
         self.pivotal = pivotal
         self._canonical = None
+        self._right_pair = None                  # (q_r, p_r), see derive_qp
         self._coopposite = None
         self._modulus = None                     # set by intcoint.modulus
         self._symmetrised = {}                   # check_symmetrised verdicts
@@ -135,17 +132,15 @@ class QuasiHopfAlgebra:
                            {i: c for (i,), c in self.alg.unit.coeffs.items()})
         return TensorElement(self.n, 1, {(i,): c for i, c in sol.items()})
 
-    # hook actions on elements, with the coproduct filled in
-    def hit_elem_right(self, f, h):
-        return hit_elem_right(self.alg, self.delta_images, f, h)
-
     def hit_elem_left(self, h, f):
-        return hit_elem_left(self.alg, self.delta_images, h, f)
+        """The hook action h <- f = f(h_(1)) h_(2); on self.coopposite() it
+        is the right one, f -> h = h_(1) f(h_(2))."""
+        return f.contract(self.delta(h), (0,))
 
     # -- coopposite --------------------------------------------------------
 
     def coopposite(self):
-        """Same algebra with reversed comultiplication, built once."""
+        """H with reversed comultiplication, built once; an involution."""
         if self._coopposite is not None:
             return self._coopposite
         delta = [flip(d, (2, 1)) for d in self.delta_images]
@@ -165,6 +160,7 @@ class QuasiHopfAlgebra:
             self.S_inv(self.alpha), self.S_inv(self.beta),
             pivotal=pivotal)
         self._coopposite = cop
+        cop._coopposite = self
         return cop
 
     # -- canonical elements --------------------------------------------------
@@ -181,70 +177,58 @@ class CanonicalElements:
     p_r: TensorElement
     q_l: TensorElement
     p_l: TensorElement
-    report: Check
 
 
 def derive_qp(H):
-    """The four canonical elements built from Phi, Psi, alpha, beta, S.
+    """The four canonical elements of H: its right pair (_right_pair) and,
+    as the right pair of H.coopposite() with its legs swapped, its left one
+
+        q_l = S(Phi_1) alpha Phi_2 (x) Phi_3 = q_r(H^cop)_21
+        p_l = Psi_2 S^-1(Psi_1 beta) (x) Psi_3 = p_r(H^cop)_21.
+
+    Each algebra's right pair is built and checked once and kept on it.
+    """
+    cop = H.coopposite()
+    for X in (H, cop):
+        if X._right_pair is None:
+            X._right_pair = _right_pair(X)
+    q_l, p_l = (flip(x, (2, 1)) for x in cop._right_pair)
+    return CanonicalElements(*H._right_pair, q_l, p_l)
+
+
+def _right_pair(H):
+    """(q_r, p_r) of H:
 
         q_r = Psi_1 (x) S^-1(alpha Psi_3) Psi_2
         p_r = Phi_1 (x) Phi_2 beta S(Phi_3)
-        q_l = S(Phi_1) alpha Phi_2 (x) Phi_3
-        p_l = Psi_2 S^-1(Psi_1 beta) (x) Psi_3
 
-    The four unit identities they satisfy are checked exactly and a
-    failure raises AxiomViolation (it signals inconsistent input data).
-    The two per-basis identities moving Delta through q_r and p_r follow
-    from the axioms and are not checked here.
+    Their two unit identities are checked exactly and a failure raises
+    AxiomViolation (it signals inconsistent input data).  The two per-basis
+    identities moving Delta through q_r and p_r follow from the axioms and
+    are not checked here.
     """
-    A = H.alg
-    one = Scalar.one(H.n)
+    A, one = H.alg, H.one()
 
-    def build(tensor3, legmap):
+    def summed(x, term):    # sum of term(e_a, e_b, ...) x_ab... over x
         out = TensorElement(H.n, 2)
-        for (a, b, c), coef in tensor3.items_sorted():
-            out = out + legmap(a, b, c).scale(coef)
+        for key, coef in x.items_sorted():
+            out = out + term(*map(A.basis, key)).scale(coef)
         return out
 
-    q_r = build(H.coassociator_inv, lambda a, b, c: TensorElement.wrap(
-        H.n, 1, {(a,): one}).tensor(
-            A.mul(H.S_inv(A.mul(H.alpha, A.basis(c))), A.basis(b))))
-    p_r = build(H.coassociator, lambda a, b, c: A.basis(a).tensor(
-        A.mul_many(A.basis(b), H.beta, H.S(A.basis(c)))))
-    q_l = build(H.coassociator, lambda a, b, c: A.mul_many(
-        H.S(A.basis(a)), H.alpha, A.basis(b)).tensor(A.basis(c)))
-    p_l = build(H.coassociator_inv, lambda a, b, c: A.mul(
-        A.basis(b), H.S_inv(A.mul(A.basis(a), H.beta))).tensor(A.basis(c)))
-
-    report = Check("canonical-elements")
-    unit2 = H.alg.unit_tensor(2)
-
-    def pair_sum(x, mapper):
-        acc = TensorElement(H.n, 2)
-        for (a, b), coef in x.coeffs.items():
-            acc = acc + mapper(A.basis(a), A.basis(b)).scale(coef)
-        return acc
-
-    checks = [
-        ("q_r/p_r unit identity", pair_sum(
-            q_r, lambda x, y: A.mul(A.mul(H.delta(x), p_r),
-                                    H.one().tensor(H.S(y))))),
-        ("p_r/q_r unit identity", pair_sum(
-            p_r, lambda x, y: A.mul(A.mul(H.one().tensor(H.S_inv(y)), q_r),
-                                    H.delta(x)))),
-        ("q_l/p_l unit identity", pair_sum(
-            q_l, lambda x, y: A.mul(A.mul(H.delta(y), p_l),
-                                    H.S_inv(x).tensor(H.one())))),
-        ("p_l/q_l unit identity", pair_sum(
-            p_l, lambda x, y: A.mul(A.mul(H.S(x).tensor(H.one()), q_l),
-                                    H.delta(y)))),
-    ]
-    for name, got in checks:
-        report.check(name, got == unit2)
-    if not report.passed:
-        bad = ", ".join(c.name for c in report.all_failures())
-        raise AxiomViolation(f"canonical element identities failed: {bad}")
-    return CanonicalElements(q_r, p_r, q_l, p_l, report)
+    q_r = summed(H.coassociator_inv, lambda a, b, c: a.tensor(
+        A.mul(H.S_inv(A.mul(H.alpha, c)), b)))
+    p_r = summed(H.coassociator, lambda a, b, c: a.tensor(
+        A.mul_many(b, H.beta, H.S(c))))
+    bad = [name for name, got in (
+        ("q_r/p_r unit identity", summed(q_r, lambda x, y: A.mul_many(
+            H.delta(x), p_r, one.tensor(H.S(y))))),
+        ("p_r/q_r unit identity", summed(p_r, lambda x, y: A.mul_many(
+            one.tensor(H.S_inv(y)), q_r, H.delta(x)))),
+    ) if got != A.unit_tensor(2)]
+    if bad:
+        raise AxiomViolation(
+            f"canonical element identities failed: {', '.join(bad)}")
+    return q_r, p_r
 
 
 def derive_UVu(H, gamma):

@@ -26,12 +26,12 @@ Every line after ``basis`` adds its scalar to the coordinate it names, so
 a repeated line accumulates: ``mul 0 1 1 1/2`` twice is ``mul 0 1 1 1``.
 ``#`` starts a comment; blank lines are skipped.  serialize(parse(text))
 reproduces canonical documents byte for byte.  Indices and the conductor
-are ASCII decimal digits.
+are ASCII decimal digits.  ``field`` comes once, before any scalar.
 
-parse reads each distinct scalar token once per document (and field) and
-hands every later line the same Scalar: a Q(2) spec has thousands of
-scalar lines but about twenty distinct tokens.  Sharing is safe because a
-Scalar is immutable and a repeated line accumulates into a new one.
+parse reads each distinct scalar token once per document and hands every
+later line the same Scalar: a Q(2) spec has thousands of scalar lines but
+about twenty distinct tokens.  Sharing is safe because a Scalar is
+immutable and a repeated line accumulates into a new one.
 """
 
 from dataclasses import dataclass, field
@@ -100,8 +100,9 @@ def parse(text):
         if key == "field":
             if len(args) != 1 or not _is_decimal(args[0]):
                 raise SpecSyntaxError(line_no, "field needs one positive integer")
+            if doc.conductor is not None:
+                raise SpecSyntaxError(line_no, "field given twice")
             doc.conductor = int(args[0])
-            scalars = {}
         elif key == "basis":
             if not args:
                 raise SpecSyntaxError(line_no, "basis needs at least one label")
@@ -196,16 +197,17 @@ def to_algebra(doc):
     unit = TensorElement(n, 1, {(i,): c for i, c in doc.unit.items()})
     alg = AlgebraData(n, dim, doc.labels, unit, table)
 
-    delta = [TensorElement(n, 2) for _ in range(dim)]
-    for (i, j, k), c in doc.coproduct.items():
-        delta[i] = delta[i] + TensorElement(n, 2, {(j, k): c})
+    def images(store, order):
+        # image i holds key: c for each (i, *key): c; parse summed repeats
+        coeffs = [{} for _ in range(dim)]
+        for (i, *key), c in store.items():
+            coeffs[i][tuple(key)] = c
+        return [TensorElement(n, order, d) for d in coeffs]
+
+    delta = images(doc.coproduct, 2)
     counit = LinearForm(n, 1, {(i,): c for i, c in doc.counit.items()})
-    s_imgs = [TensorElement(n, 1) for _ in range(dim)]
-    for (i, j), c in doc.antipode.items():
-        s_imgs[i] = s_imgs[i] + TensorElement(n, 1, {(j,): c})
-    si_imgs = [TensorElement(n, 1) for _ in range(dim)]
-    for (i, j), c in doc.antipode_inv.items():
-        si_imgs[i] = si_imgs[i] + TensorElement(n, 1, {(j,): c})
+    s_imgs = images(doc.antipode, 1)
+    si_imgs = images(doc.antipode_inv, 1)
     phi = TensorElement(n, 3, {k: c for k, c in doc.phi.items()})
     psi = TensorElement(n, 3, {k: c for k, c in doc.phi_inv.items()})
     alpha = TensorElement(n, 1, {(i,): c for i, c in doc.alpha.items()})

@@ -18,7 +18,6 @@ the coproduct is extended multiplicatively from the generators, the antipode
 anti-multiplicatively, in the word order of the basis.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,21 +35,7 @@ class MaxNExceeded(QuasiHopfError):
     pass
 
 
-class BadSetting(QuasiHopfError):
-    exit_code = 2
-
-
-DEFAULT_MAX_N = 4
-MAX_N_ENV = "QUASIHOPF_MAX_N"
-
-
-def _max_n():
-    raw = os.environ.get(MAX_N_ENV, str(DEFAULT_MAX_N))
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadSetting(
-            f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
+MAX_N = 4   # Q(5) has dim 4096, more than an exact run holds in memory
 
 
 def admissible_betas(N, n=8):
@@ -171,13 +156,12 @@ class SFFixture:
         return basis_key(self.N, index)
 
 
-def build(N, beta, max_n=None):
+def build(N, beta):
     """Construct Q(N, beta) as a QuasiHopfAlgebra plus fixture data."""
     if N < 1:
         raise ValueError("N must be positive")
-    limit = _max_n() if max_n is None else max_n
-    if N > limit:
-        raise MaxNExceeded(f"N={N} exceeds the configured maximum {limit}")
+    if N > MAX_N:
+        raise MaxNExceeded(f"N={N} exceeds the maximum {MAX_N}")
     n = beta.n
     if n % 4:
         raise BadBeta("the scalar field must contain i (conductor divisible by 4)")

@@ -3,11 +3,12 @@ against, written the plain way: one AlgebraData.mul product per basis
 element.  symmetric_trace_space is criterion 5's brute-force solver for the
 symmetric forms that satisfy the right reduction condition;
 reference_cointegral_blocks and reference_cointegral_space are the full
-stacked cointegral system and its solve.  opposite and check_nakayama are
-constructions only the tests use: the opposite algebra, and the antipode
-conjugation law of a cointegral."""
+stacked cointegral system and its solve; reference_left_pair builds q_l and
+p_l from their own formulas.  opposite and check_nakayama are constructions
+only the tests use: the opposite algebra, and the antipode conjugation law
+of a cointegral."""
 
-from quasihopf.algcore import AlgebraData, LinearForm
+from quasihopf.algcore import AlgebraData, LinearForm, TensorElement
 from quasihopf.exactmath import RowReducer, Scalar
 from quasihopf.intcoint import side_algebra
 from quasihopf.qha import QuasiHopfAlgebra, derive_UVu
@@ -66,6 +67,23 @@ def symmetric_trace_space(H):
                 red.add_row(row)
     return [LinearForm(H.n, 1, {(i,): c for i, c in enumerate(vec) if c})
             for vec in red.nullspace()]
+
+
+def reference_left_pair(H):
+    """(q_l, p_l) of H, one term of Phi resp. Psi at a time:
+
+        q_l = S(Phi_1) alpha Phi_2 (x) Phi_3
+        p_l = Psi_2 S^-1(Psi_1 beta) (x) Psi_3
+    """
+    A, e = H.alg, H.alg.basis
+    q_l = p_l = TensorElement(H.n, 2)
+    for (a, b, c), coef in H.coassociator.items_sorted():
+        q_l = q_l + A.mul_many(H.S(e(a)), H.alpha, e(b)).tensor(
+            e(c)).scale(coef)
+    for (a, b, c), coef in H.coassociator_inv.items_sorted():
+        p_l = p_l + A.mul(e(b), H.S_inv(A.mul(e(a), H.beta))).tensor(
+            e(c)).scale(coef)
+    return q_l, p_l
 
 
 def reference_cointegral_blocks(Hq, gamma):
@@ -130,7 +148,9 @@ def check_nakayama(H, form, gamma, side):
     report = Check(f"nakayama-{side}")
     e = [A.basis(i) for i in range(H.dim)]
     sa = [Hq.S(a) for a in e]
-    shifted = [Hq.S_inv(Hq.hit_elem_right(gamma.form, a)) for a in e]
+    # gamma -> a, the right hook action, is the left one on Hq^cop
+    shifted = [Hq.S_inv(Hq.coopposite().hit_elem_left(a, gamma.form))
+               for a in e]
     check_every(report, A.labels, "antipode conjugation",
                 ((i, j) for i in range(H.dim) for j in range(H.dim)),
                 lambda i, j: form.evaluate(A.mul(sa[i], e[j]))

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from quasihopf.algcore import (
     BadPermutation,
     LinearForm,
-    MissingCoproduct,
     OrderMismatch,
     TensorElement,
     flip,
-    hit_elem_left,
-    hit_elem_right,
     sandwiches,
 )
 from quasihopf.exactmath import Scalar, SparseMatrix
@@ -85,10 +82,28 @@ def test_hooks_on_group_algebra():
     A = H.alg
     # eps -> g = g since Delta(g) = g (x) g and eps(g) = 1
     g = A.basis(1)
-    assert hit_elem_right(A, H.delta_images, H.counit, g) == g
-    assert hit_elem_left(A, H.delta_images, g, H.counit) == g
-    with pytest.raises(MissingCoproduct):
-        hit_elem_right(A, None, H.counit, g)
+    assert H.coopposite().hit_elem_left(g, H.counit) == g
+    assert H.hit_elem_left(g, H.counit) == g
+
+
+@pytest.mark.parametrize("make", (sweedler, lambda: q_fixture(1, 7).H),
+                         ids=("sweedler", "q1"))
+def test_right_hook_is_the_left_one_on_the_coopposite(make):
+    """H^cop's left hook action is f -> h = h_(1) f(h_(2)) and H's is
+    h <- f = f(h_(1)) h_(2), both summed here over the terms of Delta(h),
+    for every basis h and every dual basis form f."""
+    H = make()
+    A = H.alg
+    for h in range(H.dim):
+        terms = H.delta(A.basis(h)).coeffs.items()
+        for i in range(H.dim):
+            f = LinearForm(H.n, 1, {(i,): Scalar.one(H.n)})
+            right = left = TensorElement(H.n, 1)
+            for (x, y), c in terms:
+                right = right + A.basis(x).scale(c * f.evaluate(A.basis(y)))
+                left = left + A.basis(y).scale(c * f.evaluate(A.basis(x)))
+            assert H.coopposite().hit_elem_left(A.basis(h), f) == right
+            assert H.hit_elem_left(A.basis(h), f) == left
 
 
 def test_hook_with_unit_shift_element():

@@ -389,21 +389,30 @@ def test_modulus_is_computed_once_per_algebra(monkeypatch):
 
 
 def test_coopposite_is_built_once(monkeypatch):
+    """One coopposite per algebra, one derive_qp per algebra, and one right
+    pair per algebra: its two unit identities are evaluated once, and the
+    left pair of each algebra is the right pair of the other."""
     text = qhspec.serialize(qhspec.from_algebra(q_fixture(1, 7).H))
-    built = []
-    derive = qha.derive_qp
+    built, paired = [], []
+    derive, pair = qha.derive_qp, qha._right_pair
 
     def counting(H):
         built.append(H)
         return derive(H)
 
+    def counting_pair(H):
+        paired.append(H)
+        return pair(H)
+
     monkeypatch.setattr(qha, "derive_qp", counting)
+    monkeypatch.setattr(qha, "_right_pair", counting_pair)
     H = qhspec.to_algebra(qhspec.parse(text))
     assert H.coopposite() is H.coopposite()
     assert verify_reduction(H, cli._build_trace(H)).passed
     assert len(built) == 2
     assert built[0] is not built[1]
     assert {id(x) for x in built} == {id(H), id(H.coopposite())}
+    assert sorted(map(id, paired)) == sorted(map(id, built))
 
 
 @pytest.mark.parametrize("make", (sweedler, lambda: q_fixture(1, 7).H),

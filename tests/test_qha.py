@@ -19,7 +19,7 @@ from quasihopf.qha import (
 from quasihopf.report import Check, check_every
 
 from .helpers import q_fixture, q_principal, sweedler, z2, z4
-from .references import opposite
+from .references import opposite, reference_left_pair
 
 
 def test_group_algebra_axioms():
@@ -338,6 +338,30 @@ def test_qp_closed_forms():
     assert ce.p_l == bm.tensor(unit) + A.mul(e1, bm).tensor(tail_lm)
 
 
+_LEFT_PAIR_FIXTURES = {
+    "z2": z2, "z4": z4, "sweedler": sweedler,
+    **{f"q1-z8^{k}": (lambda k=k: q_fixture(1, k).H) for k in (1, 3, 5, 7)},
+    "q2-z8^2": lambda: q_fixture(2, 2).H,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEFT_PAIR_FIXTURES))
+def test_left_pair_matches_its_own_formulas(name):
+    """q_l and p_l, taken from the right pair of the coopposite, equal
+    S(Phi_1) alpha Phi_2 (x) Phi_3 and Psi_2 S^-1(Psi_1 beta) (x) Psi_3, on
+    H and on H^cop."""
+    H = _LEFT_PAIR_FIXTURES[name]()
+    for Hq in (H, H.coopposite()):
+        ce = Hq.canonical_elements()
+        assert (ce.q_l, ce.p_l) == reference_left_pair(Hq)
+
+
+def test_coopposite_is_an_involution():
+    for H in (z2(), sweedler(), q_fixture(1, 7).H):
+        assert H.coopposite().coopposite() is H
+        assert H.coopposite() is not H
+
+
 def _check_qp_coproduct_relations(H, ce):
     """Per-basis identities moving Delta through q_r and p_r, on every basis a:
 
@@ -438,9 +462,11 @@ def test_opposite_and_coopposite():
     assert ce_cop.q_l == flip(ce.q_r, (2, 1))
     assert ce_cop.p_l == flip(ce.p_r, (2, 1))
 
-    Hcc = Hcop.coopposite()
+    # the construction is an involution on the data, not only by the cache
+    Hcc = _replace(Hcop).coopposite()
     assert Hcc.delta_images == Hq.delta_images
     assert Hcc.coassociator == Hq.coassociator
+    assert Hcc.antipode_images == Hq.antipode_images
     assert Hcc.alpha == Hq.alpha and Hcc.beta == Hq.beta
     assert Hcc.pivotal.pivot == Hq.pivotal.pivot
     assert Hcc.pivotal.twist == Hq.pivotal.twist

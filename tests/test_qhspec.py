@@ -132,14 +132,16 @@ def test_scalars_carry_their_own_documents_conductor():
     body = "basis a b\nunit 0 1\nmul 0 1 1 -1/2\nelement x 1 -1/2\n"
     doc8 = qhspec.parse("field 8\n" + body)
     doc4 = qhspec.parse("field 4\n" + body)
-    # a second field line starts a new field for the lines after it
-    doc48 = qhspec.parse("field 4\nbasis a b\nunit 0 -1/2\n"
-                         "field 8\nunit 1 -1/2\n")
-    for doc, want in ((doc8, [8] * 3), (doc4, [4] * 3),
-                      (doc48, [4, 8])):
+    for doc, want in ((doc8, [8] * 3), (doc4, [4] * 3)):
         got = [c.n for store in (doc.unit, doc.mul, doc.elements.get("x", {}))
                for c in store.values()]
         assert got == want
+    # the field is declared once: a second field line is refused, not read
+    # as a new field for the lines after it
+    with pytest.raises(qhspec.SpecSyntaxError,
+                       match="line 4: field given twice"):
+        qhspec.parse("field 4\nbasis a b\nunit 0 -1/2\n"
+                     "field 8\nunit 1 -1/2\n")
 
 
 def _run(argv):
@@ -209,6 +211,21 @@ def test_cli_non_ascii_digits_are_parse_errors(tmp_path, text, line_no):
     assert code == 2
     assert f"line {line_no}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("check", "integrals", "cointegrals",
+                                     "modtrace", "verify"))
+def test_cli_second_field_line_is_a_parse_error(tmp_path, command):
+    """z2.qhs with "field 4" after its unit line: the scalars read before it
+    are over Q, so the line is refused instead of read as a new field."""
+    lines = _shipped("z2.qhs").splitlines()
+    lines.insert(lines.index("unit 0 1") + 1, "field 4")
+    path = tmp_path / "two_fields.qhs"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run([command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 5: field given twice\n"
 
 
 @pytest.mark.parametrize("command", ("check", "modtrace", "verify"))
@@ -323,14 +340,6 @@ def test_cli_sympferm_rejects_a_non_positive_n():
     code, err = _run_usage_error(["sympferm", "--n", "0", "--beta", "1"])
     assert code == 2
     assert "error: argument --n: must be a positive integer" in err
-
-
-def test_cli_sympferm_bad_max_n_setting(monkeypatch):
-    monkeypatch.setenv("QUASIHOPF_MAX_N", "abc")
-    code, out, err = _run(["sympferm", "--n", "1", "--beta", "z8^7"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "QUASIHOPF_MAX_N" in err
 
 
 def test_cli_sympferm_bad_beta_exit():

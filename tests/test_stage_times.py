@@ -34,3 +34,11 @@ def test_stage_times_rejects_a_beta_outside_q_zeta8_or_with_the_wrong_fourth_pow
     with pytest.raises(SystemExit) as exit_info:
         _load_script().main(["--n", "1", "--beta", beta])
     assert exit_info.value.code == 2
+
+
+def test_stage_times_refuses_n_above_the_builders_maximum(capsys):
+    """Q(5) (dim 4096) is refused before anything is built."""
+    with pytest.raises(SystemExit) as exit_info:
+        _load_script().main(["--n", "5", "--beta", "z8^7"])
+    assert exit_info.value.code == 2
+    assert "N=5 exceeds the maximum 4" in capsys.readouterr().err

@@ -1,11 +1,13 @@
+import io
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import pytest
 
+from quasihopf import cli
 from quasihopf.exactmath import Scalar
 from quasihopf.sympferm import (
     BadBeta,
-    MAX_N_ENV,
     MaxNExceeded,
     admissible_betas,
     build,
@@ -48,14 +50,15 @@ def test_bad_beta_rejected():
         build(1, Scalar.zeta(8, 1) + Scalar.one(8))
 
 
-def test_max_n_guard(monkeypatch):
-    with pytest.raises(MaxNExceeded):
+def test_max_n_guard():
+    with pytest.raises(MaxNExceeded, match="N=5 exceeds the maximum 4"):
         build(5, Scalar.zeta(8, 7))
-    monkeypatch.setenv(MAX_N_ENV, "1")
-    with pytest.raises(MaxNExceeded):
-        build(2, Scalar.zeta(8, 6))
-    monkeypatch.delenv(MAX_N_ENV)
-    assert build(2, Scalar.zeta(8, 6), max_n=2).H.dim == 64
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(["sympferm", "--n", "5", "--beta", "z8^7"])
+    assert code == cli.EXIT_AXIOM
+    assert err.getvalue() == \
+        "error: MaxNExceeded: N=5 exceeds the maximum 4\n"
 
 
 def test_counit_values():
